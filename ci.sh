@@ -105,6 +105,20 @@ dune exec --profile release bench/profile_sweep.exe -- \
   --no-verify --alloc --csv PROFILE_sweep.csv > /dev/null
 test -s PROFILE_sweep.csv
 
+# Verified profile leg: the same sweep with the post-pause verifier and
+# oracle on (the default for every figure run), so the verifier's host
+# cost is visible in the log.  Its CSV stays in the temporary directory —
+# PROFILE_sweep.csv above remains the --no-verify artifact.
+dune exec --profile release bench/profile_sweep.exe -- \
+  --alloc --csv "$tmp/profile_verified.csv" > /dev/null
+awk -F, '$1 == "verify" {
+  printf "verified profile: verify phase %s%% of samples, %s MW minor\n",
+    $3, $4; found = 1
+} END { exit !found }' "$tmp/profile_verified.csv" || {
+  echo "ci: verified profile_sweep reported no verify phase" >&2
+  exit 1
+}
+
 # Parallel non-degradation gate: bench_parallel times the same sweep at
 # --jobs 1/2/4/8 inside one process and emits BENCH_parallel.json.  The
 # pool clamps to the host's domain count, so --jobs > 1 must never be

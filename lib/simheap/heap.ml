@@ -157,6 +157,10 @@ let lookup t addr =
   let i = Addr_table.find t.addr_map addr in
   if i < 0 then None else Some (Addr_table.value t.addr_map i)
 
+let find_obj t addr =
+  let i = Addr_table.find t.addr_map addr in
+  if i < 0 then Region.dummy_obj else Addr_table.value t.addr_map i
+
 let lookup_exn t addr =
   let i = Addr_table.find t.addr_map addr in
   if i < 0 then invalid_arg "Heap.lookup_exn: unmapped address"

@@ -38,6 +38,13 @@ val region_of_addr : t -> int -> Region.t
 
 val lookup : t -> int -> Objmodel.t option
 val lookup_exn : t -> int -> Objmodel.t
+
+val find_obj : t -> int -> Objmodel.t
+(** Allocation-free [lookup]: the bound object, or {!Region.dummy_obj}
+    (compare with [==]) when the address is unbound.  The per-pause
+    verifier probes once per reference field, so a miss must not box an
+    option. *)
+
 val bind : t -> int -> Objmodel.t -> unit
 val unbind : t -> int -> unit
 

@@ -30,14 +30,13 @@ let field_name = function
   | FLive id -> Printf.sprintf "obj:%d" id
   | FDangling addr -> Printf.sprintf "dangling:0x%x" addr
 
+let classify heap addr =
+  if addr = Simheap.Layout.null then FNull
+  else
+    let obj = H.find_obj heap addr in
+    if obj == Simheap.Region.dummy_obj then FDangling addr else FLive obj.O.id
+
 let capture heap =
-  let classify addr =
-    if addr = Simheap.Layout.null then FNull
-    else
-      match H.lookup heap addr with
-      | Some obj -> FLive obj.O.id
-      | None -> FDangling addr
-  in
   let nodes = ref [] in
   H.iter_bindings
     (fun _addr (obj : O.t) ->
@@ -45,7 +44,7 @@ let capture heap =
         {
           id = obj.O.id;
           size = obj.O.size;
-          fields = Array.map classify obj.O.fields;
+          fields = Array.map (classify heap) obj.O.fields;
         }
         :: !nodes)
     heap;
@@ -54,7 +53,8 @@ let capture heap =
   let roots = ref [] in
   Simstats.Vec.iter
     (fun (r : O.root) ->
-      roots := { root_id = r.O.root_id; target = classify r.O.target } :: !roots)
+      roots :=
+        { root_id = r.O.root_id; target = classify heap r.O.target } :: !roots)
     (H.roots heap);
   let roots = Array.of_list !roots in
   Array.sort (fun (a : root) b -> compare a.root_id b.root_id) roots;
@@ -68,13 +68,6 @@ let capture heap =
    makes the comparison placement-erased (a reference slot matches its
    pre-crash value whether or not its update was lost). *)
 let capture_objects heap objs =
-  let classify addr =
-    if addr = Simheap.Layout.null then FNull
-    else
-      match H.lookup heap addr with
-      | Some obj -> FLive obj.O.id
-      | None -> FDangling addr
-  in
   let nodes =
     Array.of_list
       (List.map
@@ -82,7 +75,7 @@ let capture_objects heap objs =
            {
              id = obj.O.id;
              size = obj.O.size;
-             fields = Array.map classify obj.O.fields;
+             fields = Array.map (classify heap) obj.O.fields;
            })
          objs)
   in
@@ -95,14 +88,8 @@ let capture_objects heap objs =
 let max_messages = 20
 
 let diff ~expected ~got =
-  let msgs = ref [] and count = ref 0 in
-  let add fmt =
-    Format.kasprintf
-      (fun m ->
-        incr count;
-        if !count <= max_messages then msgs := m :: !msgs)
-      fmt
-  in
+  let report = Report.create max_messages in
+  let add fmt = Report.add report fmt in
   let index nodes =
     let tbl = Hashtbl.create (Array.length nodes) in
     Array.iter (fun n -> Hashtbl.replace tbl n.id n) nodes;
@@ -150,14 +137,7 @@ let diff ~expected ~got =
             add "root %d: %s, expected %s" r.root_id (field_name r.target)
               (field_name target))
     got.roots;
-  let out = List.rev !msgs in
-  if !count > max_messages then
-    out
-    @ [
-        Printf.sprintf "... and %d further graph mismatches suppressed"
-          (!count - max_messages);
-      ]
-  else out
+  Report.messages report ~what:"graph mismatches"
 
 let equal a b = diff ~expected:a ~got:b = []
 
@@ -168,14 +148,8 @@ let equal a b = diff ~expected:a ~got:b = []
    objects is exactly what a crash does; what recovery must never see is
    a surviving object that differs from its pre-crash self. *)
 let closed_within ~pre sub =
-  let msgs = ref [] and count = ref 0 in
-  let add fmt =
-    Format.kasprintf
-      (fun m ->
-        incr count;
-        if !count <= max_messages then msgs := m :: !msgs)
-      fmt
-  in
+  let report = Report.create max_messages in
+  let add fmt = Report.add report fmt in
   let pre_ids = Hashtbl.create (Array.length pre.nodes) in
   Array.iter (fun n -> Hashtbl.replace pre_ids n.id n) pre.nodes;
   Array.iter
@@ -203,11 +177,4 @@ let closed_within ~pre sub =
                         (field_name en.fields.(i)))
               n.fields)
     sub.nodes;
-  let out = List.rev !msgs in
-  if !count > max_messages then
-    out
-    @ [
-        Printf.sprintf "... and %d further closed-subgraph violations suppressed"
-          (!count - max_messages);
-      ]
-  else out
+  Report.messages report ~what:"closed-subgraph violations"

@@ -15,19 +15,6 @@ module R = Simheap.Region
 module O = Simheap.Objmodel
 module H = Simheap.Heap
 
-(* Accumulates violation messages, capped so a badly broken heap reports
-   a digestible prefix instead of one line per object. *)
-type ctx = { mutable msgs : string list; mutable count : int }
-
-let max_messages = 50
-
-let violation ctx fmt =
-  Format.kasprintf
-    (fun msg ->
-      ctx.count <- ctx.count + 1;
-      if ctx.count <= max_messages then ctx.msgs <- msg :: ctx.msgs)
-    fmt
-
 let region_name (r : R.t) =
   Printf.sprintf "region %d (%s, base 0x%x)" r.R.idx (R.kind_name r.R.kind)
     r.R.base
@@ -35,64 +22,71 @@ let region_name (r : R.t) =
 (* A region that is supposed to be quiescent and empty. *)
 let check_free_region ctx (r : R.t) =
   if r.R.top <> 0 then
-    violation ctx "%s: free region with top = %d" (region_name r) r.R.top;
+    Report.add ctx "%s: free region with top = %d" (region_name r) r.R.top;
   if Simstats.Vec.length r.R.objs <> 0 then
-    violation ctx "%s: free region holds %d objects" (region_name r)
+    Report.add ctx "%s: free region holds %d objects" (region_name r)
       (Simstats.Vec.length r.R.objs);
   if Simstats.Vec.length r.R.remset <> 0 then
-    violation ctx "%s: free region holds %d remset entries" (region_name r)
+    Report.add ctx "%s: free region holds %d remset entries" (region_name r)
       (Simstats.Vec.length r.R.remset);
   if r.R.stolen_from then
-    violation ctx "%s: free region still marked stolen_from" (region_name r);
+    Report.add ctx "%s: free region still marked stolen_from" (region_name r);
   if r.R.in_cset then
-    violation ctx "%s: free region still marked in_cset" (region_name r)
+    Report.add ctx "%s: free region still marked in_cset" (region_name r)
 
-(* One live object, reached through the region that stores it. *)
+(* A violation on one live object, reached through the region that
+   stores it.  The "object ... in region ..." prefix is formatted only
+   when a violation fires: clean heaps walk every old object per pause. *)
+let object_violation ctx (r : R.t) (obj : O.t) fmt =
+  Report.add ctx
+    ("object %d @0x%x in %s: " ^^ fmt)
+    obj.O.id obj.O.addr (region_name r)
+
+let dangles heap addr =
+  addr <> Simheap.Layout.null && H.find_obj heap addr == R.dummy_obj
+
 let check_live_object ctx heap (r : R.t) (obj : O.t) =
-  let where = Printf.sprintf "object %d @0x%x in %s" obj.O.id obj.O.addr
-      (region_name r)
-  in
   if not (R.contains r obj.O.addr) then
-    violation ctx "%s: recorded in a region that does not contain it" where;
-  (match H.lookup heap obj.O.addr with
-  | Some bound when bound == obj -> ()
-  | Some bound ->
-      violation ctx "%s: address table binds a different object (id %d)"
-        where bound.O.id
-  | None -> violation ctx "%s: address not bound in the address table" where);
+    object_violation ctx r obj "recorded in a region that does not contain it";
+  let bound = H.find_obj heap obj.O.addr in
+  if bound == R.dummy_obj then
+    object_violation ctx r obj "address not bound in the address table"
+  else if bound != obj then
+    object_violation ctx r obj "address table binds a different object (id %d)"
+      bound.O.id;
   if obj.O.forward <> Simheap.Layout.null then
-    violation ctx "%s: forwarding pointer 0x%x survived the pause" where
+    object_violation ctx r obj "forwarding pointer 0x%x survived the pause"
       obj.O.forward;
   if obj.O.cached then
-    violation ctx "%s: still marked cached after all pairs flushed" where;
+    object_violation ctx r obj "still marked cached after all pairs flushed";
   if obj.O.phys <> obj.O.addr then
-    violation ctx "%s: phys 0x%x differs from addr after flush" where
+    object_violation ctx r obj "phys 0x%x differs from addr after flush"
       obj.O.phys;
-  Array.iteri
-    (fun i f ->
-      if f <> Simheap.Layout.null && H.lookup heap f = None then
-        violation ctx "%s: field %d dangles (0x%x unbound)" where i f)
-    obj.O.fields
+  let fields = obj.O.fields in
+  for i = 0 to Array.length fields - 1 do
+    if dangles heap fields.(i) then
+      object_violation ctx r obj "field %d dangles (0x%x unbound)" i fields.(i)
+  done
 
 let check_old_region ctx heap (r : R.t) =
   if r.R.in_cset then
-    violation ctx "%s: old region still marked in_cset" (region_name r);
+    Report.add ctx "%s: old region still marked in_cset" (region_name r);
   if r.R.stolen_from then
-    violation ctx "%s: old region still marked stolen_from" (region_name r);
+    Report.add ctx "%s: old region still marked stolen_from" (region_name r);
   let used = ref 0 in
-  Simstats.Vec.iter
-    (fun (obj : O.t) ->
-      used := !used + obj.O.size;
-      check_live_object ctx heap r obj)
-    r.R.objs;
+  for k = 0 to Simstats.Vec.length r.R.objs - 1 do
+    let obj = Simstats.Vec.get r.R.objs k in
+    used := !used + obj.O.size;
+    check_live_object ctx heap r obj
+  done;
   if !used <> R.used_bytes r then
-    violation ctx "%s: used_bytes %d but objects sum to %d bytes"
+    Report.add ctx "%s: used_bytes %d but objects sum to %d bytes"
       (region_name r) (R.used_bytes r) !used;
   Simstats.Vec.iter
     (fun slot ->
       let referent = O.slot_referent slot in
-      if referent <> Simheap.Layout.null && H.lookup heap referent = None then
-        violation ctx "%s: remset entry dangles (0x%x unbound)"
+      if dangles heap referent then
+        Report.add ctx "%s: remset entry dangles (0x%x unbound)"
           (region_name r) referent)
     r.R.remset
 
@@ -107,12 +101,12 @@ let check_header_map ctx gc =
   | Some map ->
       let occupied = Nvmgc.Header_map.occupied map in
       if occupied <> 0 then
-        violation ctx "header map: %d entries still occupied after cleanup"
+        Report.add ctx "header map: %d entries still occupied after cleanup"
           occupied;
       if Nvmgc.Header_map.size map <= full_scan_limit then begin
         let nonzero = Nvmgc.Header_map.nonzero_entries map in
         if nonzero <> 0 then
-          violation ctx "header map: %d non-zero entries found by scan"
+          Report.add ctx "header map: %d non-zero entries found by scan"
             nonzero
       end
 
@@ -120,7 +114,7 @@ let check_header_map ctx gc =
     (empty list = heap is well-formed).  Intended to run right after
     {!Nvmgc.Young_gc.collect} returns. *)
 let run gc =
-  let ctx = { msgs = []; count = 0 } in
+  let ctx = Report.create 50 in
   let heap = Nvmgc.Young_gc.heap gc in
   let live_in_regions = ref 0 in
   H.iter_regions
@@ -131,57 +125,48 @@ let run gc =
           live_in_regions := !live_in_regions + Simstats.Vec.length r.R.objs;
           check_old_region ctx heap r
       | (R.Eden | R.Survivor | R.Cache) as k ->
-          violation ctx "%s: %s region survived the pause" (region_name r)
+          Report.add ctx "%s: %s region survived the pause" (region_name r)
             (R.kind_name k))
     heap;
   (* Every binding is reachable through exactly one old region's object
      list: per-object checks above give objs -> bindings injectivity, and
      the count equality closes the bijection. *)
   if !live_in_regions <> H.live_objects heap then
-    violation ctx
+    Report.add ctx
       "address table holds %d bindings but old regions record %d objects"
       (H.live_objects heap) !live_in_regions;
   H.iter_bindings
     (fun addr (obj : O.t) ->
       if obj.O.addr <> addr then
-        violation ctx "binding 0x%x names object %d whose addr is 0x%x" addr
+        Report.add ctx "binding 0x%x names object %d whose addr is 0x%x" addr
           obj.O.id obj.O.addr
       else if not (H.in_heap_range heap addr) then
-        violation ctx "binding 0x%x (object %d) outside the heap range" addr
+        Report.add ctx "binding 0x%x (object %d) outside the heap range" addr
           obj.O.id
       else
         let r = H.region_of_addr heap addr in
         if r.R.kind <> R.Old then
-          violation ctx "binding 0x%x (object %d) lives in a %s region" addr
+          Report.add ctx "binding 0x%x (object %d) lives in a %s region" addr
             obj.O.id (R.kind_name r.R.kind))
     heap;
   (* Scratch pool: every DRAM cache region must have been released. *)
   let free_scratch = H.free_cache_regions heap in
   let total_scratch = H.scratch_regions heap in
   if free_scratch <> total_scratch then
-    violation ctx "scratch pool: %d of %d cache regions not released"
+    Report.add ctx "scratch pool: %d of %d cache regions not released"
       (total_scratch - free_scratch) total_scratch;
   H.iter_scratch_regions
     (fun (r : R.t) ->
       if r.R.kind <> R.Free then
-        violation ctx "%s: scratch region not reset after the pause"
+        Report.add ctx "%s: scratch region not reset after the pause"
           (region_name r))
     heap;
   (* Roots must point at live bindings (or null). *)
   Simstats.Vec.iter
     (fun (root : O.root) ->
-      if root.O.target <> Simheap.Layout.null
-         && H.lookup heap root.O.target = None
-      then
-        violation ctx "root %d dangles (0x%x unbound)" root.O.root_id
+      if dangles heap root.O.target then
+        Report.add ctx "root %d dangles (0x%x unbound)" root.O.root_id
           root.O.target)
     (H.roots heap);
   check_header_map ctx gc;
-  let msgs = List.rev ctx.msgs in
-  if ctx.count > max_messages then
-    msgs
-    @ [
-        Printf.sprintf "... and %d further violations suppressed"
-          (ctx.count - max_messages);
-      ]
-  else msgs
+  Report.messages ctx ~what:"violations"

@@ -9,11 +9,13 @@
 type snapshot
 
 val snapshot : Nvmgc.Young_gc.t -> snapshot
-(** Deep-copy the young generation (objects, reference fields) and the
-    anchor set (collection-set remset slots + non-null roots) at the
-    start of a pause. *)
+(** At the start of a pause, before any evacuation: compute the oracle's
+    closure from the anchor set (collection-set remset slots + non-null
+    roots) and record every survivor's size and classified fields. *)
 
 val diff : snapshot -> Nvmgc.Young_gc.t -> Nvmgc.Gc_stats.pause -> string list
 (** Compare the post-pause heap and pause counters against the oracle's
     ground truth: surviving object set, sizes, per-field reference graph,
-    anchor retargeting, and copy totals.  Empty list = exact match. *)
+    anchor retargeting, and copy totals.  Empty list = exact match;
+    otherwise object mismatches in ascending id order, then anchors,
+    then counters, capped at 50 plus a suppression line. *)

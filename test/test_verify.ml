@@ -84,9 +84,9 @@ let test_matrix () =
         combos)
     shapes
 
-(* Same thing but exercising snapshot/diff explicitly, without going
-   through the hooks, so the oracle API is covered directly. *)
-let test_explicit_oracle_diff () =
+(* A generated heap under a collector whose hooks stay disarmed, so the
+   oracle is driven by hand. *)
+let oracle_env seed =
   let profile = mixed in
   let heap = H.create (Workloads.App_profile.heap_config profile) in
   let memory =
@@ -95,13 +95,19 @@ let test_explicit_oracle_diff () =
   let config =
     {
       (Workloads.Apps.gc_config profile ~preset:`All ~threads:8) with
-      Nvmgc.Gc_config.verify = false (* drive the oracle by hand *);
+      Nvmgc.Gc_config.verify = false;
     }
   in
   let gc = Nvmgc.Young_gc.create ~heap ~memory config in
   let old_pool = Workloads.Old_space.create heap in
-  let rng = Simstats.Prng.create 11 in
-  let _graph = Workloads.Graph_gen.generate ~heap ~profile ~rng ~old_pool in
+  let rng = Simstats.Prng.create seed in
+  ignore (Workloads.Graph_gen.generate ~heap ~profile ~rng ~old_pool);
+  (heap, gc)
+
+(* Like the matrix, but exercising snapshot/diff explicitly, without
+   going through the hooks, so the oracle API is covered directly. *)
+let test_explicit_oracle_diff () =
+  let _heap, gc = oracle_env 11 in
   let snap = Verify.Oracle.snapshot gc in
   let pause = Nvmgc.Young_gc.collect gc ~now_ns:0.0 in
   check_int "oracle agrees with the collector" 0
@@ -183,67 +189,281 @@ let test_invariants_catch_header_map_residue () =
   Nvmgc.Header_map.clear map;
   check_int "clean again" 0 (List.length (Verify.Invariants.run gc))
 
-(* Forge a wrong collection outcome: drop one survivor after the pause
-   and the oracle diff must name it (and the dangling references). *)
-let test_oracle_catches_lost_object () =
-  let profile = mixed in
-  let heap = H.create (Workloads.App_profile.heap_config profile) in
-  let memory =
-    Memsim.Memory.create (Workloads.App_profile.memory_config profile)
-  in
-  let config =
-    {
-      (Workloads.Apps.gc_config profile ~preset:`All ~threads:8) with
-      Nvmgc.Gc_config.verify = false;
-    }
-  in
-  let gc = Nvmgc.Young_gc.create ~heap ~memory config in
-  let old_pool = Workloads.Old_space.create heap in
-  let rng = Simstats.Prng.create 31 in
-  ignore (Workloads.Graph_gen.generate ~heap ~profile ~rng ~old_pool);
-  (* Ids that are *young* going into the pause: only those are tracked
-     by the oracle, so only losing one of them must be detected
-     (unbinding an old-pool object is correctly invisible to the
-     diff). *)
-  let young_ids = Hashtbl.create 256 in
+(* ------------------------------------------------------------------ *)
+(* Oracle mutation tests: forge one wrong outcome after a real pause and
+   the diff must name it with its exact message.                       *)
+
+(* Objects bound in regions of the given [kinds], ascending by id (the
+   address table's iteration order is unspecified; tests need
+   deterministic victims). *)
+let objects_in heap kinds =
+  let found = ref [] in
   H.iter_bindings
     (fun addr obj ->
-      if H.in_heap_range heap addr then
-        match (H.region_of_addr heap addr).Simheap.Region.kind with
-        | Simheap.Region.Eden | Simheap.Region.Survivor ->
-            Hashtbl.replace young_ids obj.O.id ()
-        | Simheap.Region.Old | Simheap.Region.Cache | Simheap.Region.Free ->
-            ())
+      if H.in_heap_range heap addr
+         && List.mem (H.region_of_addr heap addr).R.kind kinds
+      then found := obj :: !found)
     heap;
+  List.sort (fun (a : O.t) b -> compare a.O.id b.O.id) !found
+
+(* Run one pause with the oracle armed by hand.  Returns the young
+   objects as they were when the pause began, the surviving ones (same
+   records, now at their new addresses) and the dead ones. *)
+let oracle_pause ?(setup = ignore) seed =
+  let heap, gc = oracle_env seed in
+  setup heap;
+  let young = objects_in heap [ R.Eden; R.Survivor ] in
   let snap = Verify.Oracle.snapshot gc in
   let pause = Nvmgc.Young_gc.collect gc ~now_ns:0.0 in
   check_int "baseline: oracle agrees" 0
     (List.length (Verify.Oracle.diff snap gc pause));
-  (* "Lose" one evacuated object: the lowest-addressed surviving young
-     binding (lowest-addressed for determinism — the address table's
-     iteration order is unspecified). *)
-  let victim =
-    let found = ref None in
-    H.iter_bindings
-      (fun addr obj ->
-        if Hashtbl.mem young_ids obj.O.id then
-          match !found with
-          | Some (a, _) when a <= addr -> ()
-          | _ -> found := Some (addr, obj))
-      heap;
-    snd (Option.get !found)
+  let survivors, dead =
+    List.partition (fun (o : O.t) -> H.find_obj heap o.O.addr == o) young
   in
+  (heap, gc, snap, pause, survivors, dead)
+
+let is_survivor survivors addr =
+  List.exists (fun (o : O.t) -> o.O.addr = addr) survivors
+
+let check_reports ~what snap gc pause expected =
+  let msgs = Verify.Oracle.diff snap gc pause in
+  if not (List.mem expected msgs) then
+    Alcotest.failf "%s: expected %S among:\n  %s" what expected
+      (String.concat "\n  " msgs)
+
+let check_clean snap gc pause =
+  Alcotest.(check (list string))
+    "clean after restore" [] (Verify.Oracle.diff snap gc pause)
+
+(* Drop one survivor after the pause. *)
+let test_oracle_catches_lost_object () =
+  let heap, gc, snap, pause, survivors, _ = oracle_pause 31 in
+  let victim = List.hd survivors in
   H.unbind heap victim.O.addr;
-  check_bool "lost survivor detected" true
-    (Verify.Oracle.diff snap gc pause <> []);
+  check_reports ~what:"lost survivor" snap gc pause
+    (Printf.sprintf "object %d is live per the oracle but was not evacuated"
+       victim.O.id);
   H.bind heap victim.O.addr victim;
   (* Forge a wrong copy counter. *)
   let forged =
     { pause with Nvmgc.Gc_stats.objects_copied =
         pause.Nvmgc.Gc_stats.objects_copied + 1 }
   in
-  check_bool "wrong copy counter detected" true
-    (Verify.Oracle.diff snap gc forged <> [])
+  check_reports ~what:"objects copied" snap gc forged
+    (Printf.sprintf "pause reports %d objects copied, oracle expects %d"
+       (pause.Nvmgc.Gc_stats.objects_copied + 1)
+       pause.Nvmgc.Gc_stats.objects_copied)
+
+let test_oracle_wrong_field_copy () =
+  let heap, gc, snap, pause, survivors, _ = oracle_pause 31 in
+  (* First survivor with a field naming another survivor's copy. *)
+  let holder, k =
+    List.find_map
+      (fun (o : O.t) ->
+        Array.find_mapi
+          (fun i f -> if is_survivor survivors f then Some (o, i) else None)
+          o.O.fields)
+      survivors
+    |> Option.get
+  in
+  let target = H.find_obj heap holder.O.fields.(k) in
+  let wrong = List.find (fun (o : O.t) -> o != target) survivors in
+  holder.O.fields.(k) <- wrong.O.addr;
+  check_reports ~what:"retargeted field" snap gc pause
+    (Printf.sprintf "object %d field %d: oracle young:%d, collector young:%d"
+       holder.O.id k target.O.id wrong.O.id);
+  holder.O.fields.(k) <- target.O.addr;
+  check_clean snap gc pause
+
+let test_oracle_wrong_anchor_copy () =
+  let heap, gc, snap, pause, survivors, _ = oracle_pause 31 in
+  let root =
+    Simstats.Vec.to_list (H.roots heap)
+    |> List.find (fun (r : O.root) -> is_survivor survivors r.O.target)
+  in
+  let target = H.find_obj heap root.O.target in
+  let wrong = List.find (fun (o : O.t) -> o != target) survivors in
+  root.O.target <- wrong.O.addr;
+  check_reports ~what:"retargeted anchor" snap gc pause
+    (Printf.sprintf "anchor slot: oracle young:%d, collector young:%d (post 0x%x)"
+       target.O.id wrong.O.id wrong.O.addr);
+  root.O.target <- target.O.addr;
+  check_clean snap gc pause
+
+(* An anchor naming an object outside the collection set must keep that
+   exact address. *)
+let test_oracle_moved_out_of_cset_anchor () =
+  let root = ref None in
+  let setup heap =
+    let old = List.hd (objects_in heap [ R.Old ]) in
+    root := Some (H.new_root heap old.O.addr)
+  in
+  let heap, gc, snap, pause, _, _ = oracle_pause ~setup 31 in
+  let root = Option.get !root in
+  let pre = root.O.target in
+  let moved =
+    List.find (fun (o : O.t) -> o.O.addr <> pre) (objects_in heap [ R.Old ])
+  in
+  root.O.target <- moved.O.addr;
+  check_reports ~what:"moved anchor" snap gc pause
+    (Printf.sprintf "anchor slot: non-young referent moved (0x%x -> 0x%x)" pre
+       moved.O.addr);
+  root.O.target <- pre;
+  check_clean snap gc pause
+
+let test_oracle_two_addresses () =
+  let heap, gc, snap, pause, survivors, _ = oracle_pause 31 in
+  let victim = List.hd survivors in
+  let alias = victim.O.addr + 8 in
+  H.bind heap alias victim;
+  check_reports ~what:"double binding" snap gc pause
+    (Printf.sprintf "object %d survives at two addresses" victim.O.id);
+  H.unbind heap alias;
+  check_clean snap gc pause
+
+let test_oracle_size_change () =
+  let heap, gc, snap, pause, survivors, _ = oracle_pause 31 in
+  let victim = List.hd survivors in
+  let grown =
+    O.make ~id:victim.O.id ~addr:victim.O.addr ~size:(victim.O.size + 8)
+      ~fields:(Array.copy victim.O.fields)
+  in
+  H.bind heap victim.O.addr grown;
+  check_reports ~what:"size change" snap gc pause
+    (Printf.sprintf "object %d: size %d after evacuation, %d before"
+       victim.O.id (victim.O.size + 8) victim.O.size);
+  H.bind heap victim.O.addr victim;
+  check_clean snap gc pause
+
+(* The generator materializes live objects only: plant [n] unreachable
+   ones in a fresh eden region so the oracle has dead young ids. *)
+let plant_garbage n heap =
+  let r = Option.get (H.alloc_region heap R.Eden) in
+  for _ = 1 to n do
+    ignore (Option.get (H.new_object heap r ~size:32 ~nfields:1))
+  done
+
+(* Rebind oracle-dead young objects at their (now released) pre-pause
+   addresses, as if the collector had evacuated them. *)
+let resurrect heap dead n =
+  let victims = List.filteri (fun i _ -> i < n) dead in
+  check_int "enough dead young objects" n (List.length victims);
+  List.iter (fun (o : O.t) -> H.bind heap o.O.addr o) victims;
+  victims
+
+let test_oracle_dead_evacuated () =
+  let heap, gc, snap, pause, _, dead =
+    oracle_pause ~setup:(plant_garbage 1) 31
+  in
+  let victim = List.hd (resurrect heap dead 1) in
+  check_reports ~what:"dead object evacuated" snap gc pause
+    (Printf.sprintf "object %d is dead per the oracle but was evacuated"
+       victim.O.id);
+  H.unbind heap victim.O.addr;
+  check_clean snap gc pause
+
+let test_oracle_wrong_bytes () =
+  let _, gc, snap, pause, _, _ = oracle_pause 31 in
+  let bytes = pause.Nvmgc.Gc_stats.bytes_copied in
+  let forged = { pause with Nvmgc.Gc_stats.bytes_copied = bytes + 8 } in
+  check_reports ~what:"bytes copied" snap gc forged
+    (Printf.sprintf "pause reports %d bytes copied, oracle expects %d"
+       (bytes + 8) bytes)
+
+(* Past 50 mismatches the report keeps the first 50 (ascending id) and
+   counts the rest; diffing the same forged heap twice is identical. *)
+let test_oracle_cap_and_determinism () =
+  let heap, gc, snap, pause, _, dead =
+    oracle_pause ~setup:(plant_garbage 60) 31
+  in
+  let victims = resurrect heap dead 60 in
+  let msgs = Verify.Oracle.diff snap gc pause in
+  let expected =
+    List.filteri (fun i _ -> i < 50) victims
+    |> List.map (fun (o : O.t) ->
+           Printf.sprintf "object %d is dead per the oracle but was evacuated"
+             o.O.id)
+  in
+  Alcotest.(check (list string))
+    "50 messages + suppression line"
+    (expected @ [ "... and 10 further mismatches suppressed" ])
+    msgs;
+  Alcotest.(check (list string))
+    "second diff identical" msgs
+    (Verify.Oracle.diff snap gc pause)
+
+(* ------------------------------------------------------------------ *)
+(* Invariant message texts, pinned: the "object ... in region ..."
+   prefix is formatted lazily and must read exactly as before.        *)
+
+let test_invariant_messages () =
+  let heap, gc, _ = quiet_env () in
+  let obj =
+    List.find
+      (fun (o : O.t) -> Array.length o.O.fields > 0)
+      (objects_in heap [ R.Old ])
+  in
+  let r = H.region_of_addr heap obj.O.addr in
+  let where =
+    Printf.sprintf "object %d @0x%x in region %d (old, base 0x%x)" obj.O.id
+      obj.O.addr r.R.idx r.R.base
+  in
+  let unbound = obj.O.addr + 8 in
+  let expect name corrupt restore msg =
+    corrupt ();
+    let violations = Verify.Invariants.run gc in
+    if not (List.mem msg violations) then
+      Alcotest.failf "%s: expected %S among:\n  %s" name msg
+        (String.concat "\n  " violations);
+    restore ();
+    check_int (name ^ ": clean again") 0
+      (List.length (Verify.Invariants.run gc))
+  in
+  let f0 = obj.O.fields.(0) in
+  expect "dangling field"
+    (fun () -> obj.O.fields.(0) <- unbound)
+    (fun () -> obj.O.fields.(0) <- f0)
+    (Printf.sprintf "%s: field 0 dangles (0x%x unbound)" where unbound);
+  expect "dangling remset entry"
+    (fun () ->
+      Simstats.Vec.push r.R.remset
+        (O.Root { O.root_id = -1; target = unbound }))
+    (fun () -> ignore (Simstats.Vec.pop r.R.remset))
+    (Printf.sprintf "region %d (old, base 0x%x): remset entry dangles (0x%x unbound)"
+       r.R.idx r.R.base unbound);
+  let root = H.new_root heap Simheap.Layout.null in
+  expect "dangling root"
+    (fun () -> root.O.target <- unbound)
+    (fun () -> root.O.target <- Simheap.Layout.null)
+    (Printf.sprintf "root %d dangles (0x%x unbound)" root.O.root_id unbound);
+  expect "stale forward"
+    (fun () -> obj.O.forward <- unbound)
+    (fun () -> obj.O.forward <- Simheap.Layout.null)
+    (Printf.sprintf "%s: forwarding pointer 0x%x survived the pause" where
+       unbound)
+
+(* ------------------------------------------------------------------ *)
+(* Allocation budget: checking a clean pause must not allocate per
+   object (no eager formatting, boxed classes or per-object closures).
+   Large flat arrays go straight to the major heap; only minor words are
+   bounded here.                                                        *)
+
+let test_allocation_budget () =
+  let heap, gc = oracle_env 31 in
+  let young = List.length (objects_in heap [ R.Eden; R.Survivor ]) in
+  let w0 = Gc.minor_words () in
+  let snap = Verify.Oracle.snapshot gc in
+  let w1 = Gc.minor_words () in
+  let pause = Nvmgc.Young_gc.collect gc ~now_ns:0.0 in
+  let w2 = Gc.minor_words () in
+  let violations = Verify.Invariants.run gc in
+  let mismatches = Verify.Oracle.diff snap gc pause in
+  let w3 = Gc.minor_words () in
+  check_int "clean pause" 0 (List.length violations + List.length mismatches);
+  let words = w1 -. w0 +. (w3 -. w2) in
+  if words > float_of_int (2 * young) then
+    Alcotest.failf "%.0f minor words to check %d young objects (budget %d)"
+      words young (2 * young)
 
 (* ------------------------------------------------------------------ *)
 (* Config gating                                                       *)
@@ -287,7 +507,30 @@ let () =
             test_invariants_catch_header_map_residue;
           Alcotest.test_case "oracle catches lost object" `Quick
             test_oracle_catches_lost_object;
+          Alcotest.test_case "invariant message texts" `Quick
+            test_invariant_messages;
         ] );
+      ( "oracle-mutations",
+        [
+          Alcotest.test_case "field retargeted to wrong copy" `Quick
+            test_oracle_wrong_field_copy;
+          Alcotest.test_case "anchor retargeted to wrong copy" `Quick
+            test_oracle_wrong_anchor_copy;
+          Alcotest.test_case "out-of-cset anchor moved" `Quick
+            test_oracle_moved_out_of_cset_anchor;
+          Alcotest.test_case "id bound at two addresses" `Quick
+            test_oracle_two_addresses;
+          Alcotest.test_case "size change" `Quick test_oracle_size_change;
+          Alcotest.test_case "dead object evacuated" `Quick
+            test_oracle_dead_evacuated;
+          Alcotest.test_case "wrong bytes_copied" `Quick
+            test_oracle_wrong_bytes;
+          Alcotest.test_case "50-message cap, deterministic" `Quick
+            test_oracle_cap_and_determinism;
+        ] );
+      ( "allocation",
+        [ Alcotest.test_case "clean pause minor-word budget" `Quick
+            test_allocation_budget ] );
       ( "gating",
         [ Alcotest.test_case "config flag + env override" `Quick
             test_verify_gating ] );
