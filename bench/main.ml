@@ -62,7 +62,7 @@ let bench_llc =
          ignore
            (Memsim.Llc.access llc
               (Random.State.int rng (1 lsl 26) * 64)
-              ~write:false ~seq:false ~nvm:true)))
+              ~lines:1 ~write:false ~seq:false ~nvm:true)))
 
 let bench_prng =
   let rng = Simstats.Prng.create 1 in
@@ -75,12 +75,11 @@ let bench_memory_access =
   let rng = Random.State.make [| 0x5eed; 4 |] in
   Test.make ~name:"memory.access"
     (Staged.stage (fun () ->
-         clock :=
-           !clock
-           +. Memsim.Memory.access memory ~now_ns:!clock
-                ~addr:(Random.State.int rng (1 lsl 26) * 64)
-                (Memsim.Access.v ~space:Memsim.Access.Nvm
-                   ~kind:Memsim.Access.Read ~pattern:Memsim.Access.Random 64)))
+         Memsim.Memory.access memory ~now_ns:!clock
+           ~addr:(Random.State.int rng (1 lsl 26) * 64)
+           ~space:Memsim.Access.Nvm ~kind:Memsim.Access.Read
+           ~pattern:Memsim.Access.Random ~bytes:64;
+         clock := !clock +. Memsim.Memory.last_duration memory))
 
 (* Telemetry overhead: the hooks are compiled into every hot path of the
    evacuation loop, so the disabled case (no tracer/registry installed —

@@ -40,11 +40,11 @@ dune exec bin/nvmgc_cli.exe -- run page-rank --threads 8 --gc-scale 0.1 \
 test -s "$tmp/stats.csv"
 test -s "$tmp/stats.prom"
 
-# Recording must be pure observation, and the batched run-API access
-# path (Memory.access_run_into) must be float-for-float identical to the
-# per-line semantics it replaced: the sweep digest is byte-identical
-# with the recorder armed and disarmed, serial and parallel, in both
-# build profiles.  The release-profile legs matter: benches are built
+# Recording must be pure observation, and memsim's single charge path
+# (Memory.access, which walks every access as a run of cache lines) must
+# give the same simulated results at any job count: the sweep digest is
+# byte-identical with the recorder armed and disarmed, serial and
+# parallel, in both build profiles.  The release-profile legs matter: benches are built
 # with cross-module inlining (see the bench gates below), and this pins
 # the inlined build to the exact same simulated results as dev.
 d_off=$(dune exec bench/digest_sweep.exe -- --jobs 1 | awk '{print $NF}')
@@ -68,6 +68,20 @@ if [ "$d_off" != "$d_rel" ] || [ "$d_off" != "$d_rel8" ]; then
     "(digest dev=$d_off release=$d_rel release,jobs8,record=$d_rel8)" >&2
   exit 1
 fi
+
+# Workload pins: each benchmark workload's simulated output at seed 42
+# must match its digest in perfbench/pins.txt.  --pin prints a host
+# fingerprint line, then the pin line.  This leg only reads perfbench/.
+for w in grid-verified scaling-sweep long-pauses fuzz-crash; do
+  got=$(dune exec --profile release perfbench/bin/nvmgc_bench.exe -- \
+    --pin --workload "$w" --seed 42 | tail -n 1)
+  want=$(grep "^$w 42 " perfbench/pins.txt)
+  if [ "$got" != "$want" ]; then
+    echo "ci: workload $w perturbed simulated results" \
+      "(got '$got', pinned '$want')" >&2
+    exit 1
+  fi
+done
 
 # Multicore engine smoke: the whole figure/table sweep driven through the
 # work-stealing domain pool (`--jobs`).  Output is byte-identical at any

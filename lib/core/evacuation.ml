@@ -345,24 +345,16 @@ let cause_of_category = function
   | Cat_flush -> Nvmtrace.Recorder.Wc_writeback
   | Cat_cleanup | Cat_cpu -> Nvmtrace.Recorder.Gc_other
 
-(* All ordinary GC charges go through the memsim bulk-transfer entry:
-   object copies, write-cache write-backs and header-map probe bursts
-   are contiguous runs, and the run path is float-identical for the
-   single-line charges (digest-gated in CI). *)
-let[@inline] charge t th ~cat ~addr ~space ~kind ~pattern ~bytes =
+(* Every GC charge goes through the one memsim entry: object copies,
+   write-cache write-backs and header-map probe bursts are contiguous
+   runs, single-line charges are runs of 1, and atomic/uncoalesced
+   charges (the forwarding CAS) pass [~force_device:true] to bypass the
+   cache. *)
+let[@inline] charge ?force_device t th ~cat ~addr ~space ~kind ~pattern
+    ~bytes =
   Memsim.Memory.set_cause t.memory (cause_of_category cat);
-  Memsim.Memory.access_run_into t.memory ~now_ns:th.clock.(0) ~addr ~space
-    ~kind ~pattern ~bytes;
-  let d = Memsim.Memory.last_duration t.memory in
-  th.breakdown.(category_index cat) <- th.breakdown.(category_index cat) +. d;
-  th.clock.(0) <- th.clock.(0) +. d
-
-(* Atomic/uncoalesced charges (the forwarding CAS) bypass the cache and
-   cannot ride the run path. *)
-let charge_forced t th ~cat ~addr ~space ~kind ~pattern ~bytes =
-  Memsim.Memory.set_cause t.memory (cause_of_category cat);
-  Memsim.Memory.access_into ~force_device:true t.memory ~now_ns:th.clock.(0)
-    ~addr ~space ~kind ~pattern ~bytes;
+  Memsim.Memory.access ?force_device t.memory ~now_ns:th.clock.(0) ~addr
+    ~space ~kind ~pattern ~bytes;
   let d = Memsim.Memory.last_duration t.memory in
   th.breakdown.(category_index cat) <- th.breakdown.(category_index cat) +. d;
   th.clock.(0) <- th.clock.(0) +. d
@@ -632,8 +624,8 @@ let lookup_forward t th ~old_addr (obj : O.t) =
    and reach the device uncoalesced.  (Top-level rather than local to
    [install_forward] so the per-object hot path allocates no closure.) *)
 let install_in_header t th ~old_addr ~old_space ~new_addr (obj : O.t) =
-  charge_forced t th ~cat:Cat_forward ~addr:old_addr ~space:old_space
-    ~kind:Memsim.Access.Write ~pattern:Memsim.Access.Random
+  charge ~force_device:true t th ~cat:Cat_forward ~addr:old_addr
+    ~space:old_space ~kind:Memsim.Access.Write ~pattern:Memsim.Access.Random
     ~bytes:Simheap.Layout.ref_bytes;
   charge t th ~cat:Cat_forward ~addr:old_addr ~space:old_space
     ~kind:Memsim.Access.Write ~pattern:Memsim.Access.Random

@@ -141,9 +141,9 @@ let cleanup_header_map t evac ~from_ns =
           let slice = slices.(i) in
           th.Evacuation.clock.(0) <-
             Float.max th.Evacuation.clock.(0) from_ns;
-          (* Table-sized sequential run: the bulk-transfer path walks
-             its thousands of lines with buffered evictions. *)
-          Memsim.Memory.access_run_into t.memory
+          (* Table-sized sequential run: one charge walks its
+             thousands of lines with buffered evictions. *)
+          Memsim.Memory.access t.memory
             ~now_ns:th.Evacuation.clock.(0)
             ~addr:(Simheap.Layout.header_map_base + !offset)
             ~space:Memsim.Access.Dram ~kind:Memsim.Access.Write

@@ -1,15 +1,10 @@
-(** Memory-access descriptors: space, kind, pattern and size.  The
-    [Nt_write] kind models x86 non-temporal stores (paper §4.1). *)
+(** Memory-access classes: space, kind and pattern.  The [Nt_write] kind
+    models x86 non-temporal stores (paper §4.1). *)
 
 type space = Dram | Nvm
 type kind = Read | Write | Nt_write
 type pattern = Random | Sequential
 
-type t = { space : space; kind : kind; pattern : pattern; bytes : int }
-
-val v : space:space -> kind:kind -> pattern:pattern -> int -> t
-val is_write : t -> bool
 val space_name : space -> string
 val kind_name : kind -> string
 val pattern_name : pattern -> string
-val pp : Format.formatter -> t -> unit

@@ -24,7 +24,7 @@
     until the remaining header/reference writes also go (header map).
     The [**] makes this the single most expensive float operation on the
     hot path, so {!Memory.access} computes it once per access and feeds
-    the [~bowl] variants below. *)
+    it to the [~bowl] rate functions below. *)
 let[@inline] mix_bowl ~write_frac =
   let w = Float.max 0.0 (Float.min 1.0 write_frac) in
   (4.0 *. w *. (1.0 -. w)) ** 0.30
@@ -87,21 +87,17 @@ let total_cap (d : Device.t) ~write_frac
 (** Rate at which an access of this class drains through the device pipe
     (GB/s): the class cap under the current interference penalty.  This is
     the service rate of the queueing model in {!Memory}. *)
-let[@inline] service_gbps_b (d : Device.t) (kind : Access.kind)
+let[@inline] service_gbps (d : Device.t) (kind : Access.kind)
     (pattern : Access.pattern) ~bowl =
   Float.max 0.05 (device_cap_b d kind pattern ~bowl)
-
-let service_gbps (d : Device.t) (kind : Access.kind)
-    (pattern : Access.pattern) ~write_frac =
-  service_gbps_b d kind pattern ~bowl:(mix_bowl ~write_frac)
 
 (** Bandwidth the issuing thread itself can sustain for this access: its
     solo (MLP-limited) capability, degraded by the same interference
     penalty as the device (a lone thread mixing reads and writes also
     stalls on the media), never above the device's current class rate. *)
-let[@inline] effective_gbps_b (d : Device.t) (kind : Access.kind)
+let[@inline] effective_gbps (d : Device.t) (kind : Access.kind)
     (pattern : Access.pattern) ~bowl =
-  let cap = service_gbps_b d kind pattern ~bowl in
+  let cap = service_gbps d kind pattern ~bowl in
   let solo =
     match kind with
     | Access.Nt_write -> Device.thread_bw d kind pattern
@@ -109,10 +105,6 @@ let[@inline] effective_gbps_b (d : Device.t) (kind : Access.kind)
         Device.thread_bw d kind pattern *. penalty_of_bowl d ~bowl
   in
   Float.max 0.05 (Float.min solo cap)
-
-let effective_gbps (d : Device.t) (kind : Access.kind)
-    (pattern : Access.pattern) ~write_frac =
-  effective_gbps_b d kind pattern ~bowl:(mix_bowl ~write_frac)
 
 (** Transfer time in nanoseconds for [bytes] at [gbps].
     1 GB/s = 1 byte/ns, so this is simply bytes / gbps. *)

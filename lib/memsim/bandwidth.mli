@@ -7,15 +7,8 @@ val mix_penalty : Device.t -> write_frac:float -> float
 
 val mix_bowl : write_frac:float -> float
 (** Device-independent part of the penalty ([(4w(1-w))^0.3]) — the one
-    [**] on the hot path.  Compute once per access and feed the [_b]
-    variants below; [f_b d k p ~bowl:(mix_bowl ~write_frac)] is
-    float-identical to [f d k p ~write_frac]. *)
-
-val service_gbps_b :
-  Device.t -> Access.kind -> Access.pattern -> bowl:float -> float
-
-val effective_gbps_b :
-  Device.t -> Access.kind -> Access.pattern -> bowl:float -> float
+    [**] on the hot path.  Compute once per access and feed the [~bowl]
+    rate functions below with [~bowl:(mix_bowl ~write_frac)]. *)
 
 val device_cap : Device.t -> Access.kind -> Access.pattern -> write_frac:float -> float
 (** Device-level bandwidth cap (GB/s) for an access class under the
@@ -30,12 +23,12 @@ val total_cap :
     byte shares (read-random, read-seq, write-random, write-seq). *)
 
 val service_gbps :
-  Device.t -> Access.kind -> Access.pattern -> write_frac:float -> float
+  Device.t -> Access.kind -> Access.pattern -> bowl:float -> float
 (** Service rate of the device pipe for this access class (the queueing
     model's drain rate). *)
 
 val effective_gbps :
-  Device.t -> Access.kind -> Access.pattern -> write_frac:float -> float
+  Device.t -> Access.kind -> Access.pattern -> bowl:float -> float
 (** Bandwidth the issuing thread itself sustains (solo/MLP-limited, never
     above the current class rate). *)
 

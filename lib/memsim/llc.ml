@@ -52,18 +52,12 @@ type t = {
   ways : int;
   sets : set array;
   mutable tick : int;  (** monotone touch counter feeding [stamp] *)
-  (* Pending write-back slots: the [_q] entry points record a dirty
-     eviction here instead of allocating an option — the hot path runs
-     millions of times per simulated pause. *)
-  mutable wb_pending : bool;
-  mutable wb_addr_q : int;
-  mutable wb_nvm_q : bool;
-  mutable wb_seq_q : bool;
-  (* Run write-back buffer: dirty evictions produced by {!access_run}
-     accumulate here instead of the single pending slot, so a whole
-     contiguous N-line run can be walked without draining between
-     probes.  Each entry packs the eviction's nvm (bit 0) and seq
-     (bit 1) flags — the write-back charge needs nothing else. *)
+  (* Run write-back buffer: the dirty evictions of the last {!access}
+     or {!prefetch} accumulate here (no option is allocated — the walk
+     runs millions of times per simulated pause), so a whole contiguous
+     N-line run is walked without draining between probes.  Each entry
+     packs the eviction's nvm (bit 0) and seq (bit 1) flags — the
+     write-back charge needs nothing else. *)
   mutable run_wb : int array;
   mutable run_wb_len : int;
   mutable hits : int;
@@ -117,10 +111,6 @@ let create ~capacity_bytes ~ways =
             hint = 0;
           });
     tick = 1;
-    wb_pending = false;
-    wb_addr_q = 0;
-    wb_nvm_q = false;
-    wb_seq_q = false;
     run_wb = Array.make 64 0;
     run_wb_len = 0;
     hits = 0;
@@ -209,21 +199,26 @@ let victim_way set = victim_loop set.stamp (Array.length set.stamp) 1 0
 
 type outcome = Hit | Miss | Prefetched_hit
 
-(** Eviction of a dirty line: its address and whether it belonged to the
-    NVM space — the caller charges the device write-back. *)
-type writeback = { wb_addr : int; wb_nvm : bool; wb_seq : bool }
+let run_wb_push t flags =
+  let n = t.run_wb_len in
+  if n >= Array.length t.run_wb then begin
+    let bigger = Array.make (2 * Array.length t.run_wb) 0 in
+    Array.blit t.run_wb 0 bigger 0 n;
+    t.run_wb <- bigger
+  end;
+  t.run_wb.(n) <- flags;
+  t.run_wb_len <- n + 1
 
 (* Install [line] in [set], evicting the LRU way.  Returns the way used;
-   a dirty eviction is recorded in the pending write-back slots. *)
+   a dirty eviction is appended to the run buffer. *)
 let install t set line ~fp ~write ~seq ~nvm =
   let way = victim_way set in
   let bit = 1 lsl way in
   if set.dirty land bit <> 0 && set.tags.(way) >= 0 then begin
     t.writebacks <- t.writebacks + 1;
-    t.wb_pending <- true;
-    t.wb_addr_q <- set.tags.(way) * line_bytes;
-    t.wb_nvm_q <- set.nvm land bit <> 0;
-    t.wb_seq_q <- set.seqw land bit <> 0
+    run_wb_push t
+      ((if set.nvm land bit <> 0 then 1 else 0)
+      lor if set.seqw land bit <> 0 then 2 else 0)
   end;
   set.tags.(way) <- line;
   set_fp set way fp;
@@ -236,14 +231,9 @@ let install t set line ~fp ~write ~seq ~nvm =
   touch t set way;
   way
 
-(** [access_q t addr ~write ~nvm] looks up (and on miss, fills) the line
-    containing [addr].  Returns the outcome; when the fill evicted a
-    dirty line, the write-back is left in the pending slots (query with
-    {!wb_pending} before the next access).  Allocation-free. *)
-let access_q t addr ~write ~seq ~nvm =
-  t.wb_pending <- false;
-  let line = addr / line_bytes in
-  let h = hash_line line in
+(* One line of a run: look up (and on miss, fill) the line, counting the
+   outcome; evictions are buffered. *)
+let[@inline] run_line t h line ~write ~seq ~nvm =
   let fp = fp_of_hash h in
   let set = t.sets.(h land t.set_mask) in
   let way = find_way t set line ~fp in
@@ -270,85 +260,17 @@ let access_q t addr ~write ~seq ~nvm =
     Miss
   end
 
-(* ------------------------------------------------------------------ *)
-(* Contiguous-run walk (bulk-transfer fast path)                       *)
-
-let run_wb_push t flags =
-  let n = t.run_wb_len in
-  if n >= Array.length t.run_wb then begin
-    let bigger = Array.make (2 * Array.length t.run_wb) 0 in
-    Array.blit t.run_wb 0 bigger 0 n;
-    t.run_wb <- bigger
-  end;
-  t.run_wb.(n) <- flags;
-  t.run_wb_len <- n + 1
-
-(* [install] for the run walk: per-way state changes identical to
-   {!install}, with a dirty eviction appended to the run buffer instead
-   of the pending slot. *)
-let install_run t set line ~fp ~write ~seq ~nvm =
-  let way = victim_way set in
-  let bit = 1 lsl way in
-  if set.dirty land bit <> 0 && set.tags.(way) >= 0 then begin
-    t.writebacks <- t.writebacks + 1;
-    run_wb_push t
-      ((if set.nvm land bit <> 0 then 1 else 0)
-      lor if set.seqw land bit <> 0 then 2 else 0)
-  end;
-  set.tags.(way) <- line;
-  set_fp set way fp;
-  set.prefetched <- set.prefetched land lnot bit;
-  set.dirty <- (if write then set.dirty lor bit else set.dirty land lnot bit);
-  set.seqw <-
-    (if write && seq then set.seqw lor bit else set.seqw land lnot bit);
-  set.nvm <- (if nvm then set.nvm lor bit else set.nvm land lnot bit);
-  set.hint <- way;
-  touch t set way
-
-(* One line of a run: lookup/fill exactly as {!access_q} (same counter
-   increments, same LRU/dirty/prefetched transitions), evictions
-   buffered. *)
-let[@inline] run_line t h line ~write ~seq ~nvm =
-  let fp = fp_of_hash h in
-  let set = t.sets.(h land t.set_mask) in
-  let way = find_way t set line ~fp in
-  if way >= 0 then begin
-    touch t set way;
-    let bit = 1 lsl way in
-    if write then begin
-      set.dirty <- set.dirty lor bit;
-      if seq then set.seqw <- set.seqw lor bit
-    end;
-    if set.prefetched land bit <> 0 then begin
-      set.prefetched <- set.prefetched land lnot bit;
-      t.prefetch_hits <- t.prefetch_hits + 1;
-      Prefetched_hit
-    end
-    else begin
-      t.hits <- t.hits + 1;
-      Hit
-    end
-  end
-  else begin
-    t.misses <- t.misses + 1;
-    install_run t set line ~fp ~write ~seq ~nvm;
-    Miss
-  end
-
 (* [hash_line] stride for consecutive lines: [land max_int] is a mod-2^62
    mask and multiplication distributes over addition mod 2^63, so
    [hash_line (l + 1) = (hash_line l + 0x9E3779B1) land max_int]
    exactly — the walk steps the hash instead of remultiplying. *)
 let hash_step = 0x9E3779B1
 
-(** Walk the [lines] contiguous cache lines starting at [addr]: per-line
-    lookup/fill identical to [lines] successive {!access_q} calls, with
-    dirty evictions appended to the run buffer (read with
-    {!run_wb_count} / {!run_wb_nvm} / {!run_wb_seq}, valid until the
-    next run walk).  Returns the FIRST line's outcome — the only one the
-    latency charge depends on.  Allocation-free. *)
-let access_run t addr ~lines ~write ~seq ~nvm =
-  t.wb_pending <- false;
+(** Walk the [lines] contiguous cache lines starting at [addr], one
+    {!run_line} each, with dirty evictions appended to the run buffer
+    (valid until the next walk).  Returns the FIRST line's outcome — the
+    only one the latency charge depends on.  Allocation-free. *)
+let access t addr ~lines ~write ~seq ~nvm =
   t.run_wb_len <- 0;
   let line = addr / line_bytes in
   let h = hash_line line in
@@ -365,27 +287,13 @@ let run_wb_count t = t.run_wb_len
 let run_wb_nvm t i = t.run_wb.(i) land 1 <> 0
 let run_wb_seq t i = t.run_wb.(i) land 2 <> 0
 
-let wb_pending t = t.wb_pending
-let wb_nvm t = t.wb_nvm_q
-let wb_seq t = t.wb_seq_q
-let wb_addr t = t.wb_addr_q
-
-let pending_writeback t =
-  if t.wb_pending then
-    Some { wb_addr = t.wb_addr_q; wb_nvm = t.wb_nvm_q; wb_seq = t.wb_seq_q }
-  else None
-
-let access t addr ~write ~seq ~nvm =
-  let outcome = access_q t addr ~write ~seq ~nvm in
-  (outcome, pending_writeback t)
-
 (** Insert a line ahead of use; the next demand access reports
     [Prefetched_hit].  Idempotent on resident lines.  Returns whether the
     line was actually fetched (false = already resident, no device
     traffic); any dirty eviction the insertion forced is left in the
-    pending write-back slots.  Allocation-free. *)
-let prefetch_q t addr ~nvm =
-  t.wb_pending <- false;
+    run buffer.  Allocation-free. *)
+let prefetch t addr ~nvm =
+  t.run_wb_len <- 0;
   let line = addr / line_bytes in
   let h = hash_line line in
   let fp = fp_of_hash h in
@@ -403,10 +311,6 @@ let prefetch_q t addr ~nvm =
     set.prefetched <- set.prefetched lor (1 lsl way);
     true
   end
-
-let prefetch t addr ~nvm =
-  let fetched = prefetch_q t addr ~nvm in
-  (fetched, pending_writeback t)
 
 (* Pure residency query: is the line containing [addr] resident and
    dirty?  Used by the crash model — dirty lines die with the cache, so

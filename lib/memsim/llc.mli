@@ -7,53 +7,35 @@ type t
 
 type outcome = Hit | Miss | Prefetched_hit
 
-type writeback = { wb_addr : int; wb_nvm : bool; wb_seq : bool }
-(** A dirty line evicted by a fill; the caller charges the device.
-    [wb_seq] marks lines dirtied by streaming writes (drain sequentially). *)
-
 val create : capacity_bytes:int -> ways:int -> t
 (** Set count is rounded down to a power of two. *)
 
 val capacity_bytes : t -> int
 
 val access :
-  t -> int -> write:bool -> seq:bool -> nvm:bool -> outcome * writeback option
-(** Demand access to the line containing the address; fills on miss,
-    marking the line dirty on writes and tagging its backing space. *)
+  t -> int -> lines:int -> write:bool -> seq:bool -> nvm:bool -> outcome
+(** Demand access to the [lines] contiguous cache lines starting at the
+    given address (a single line is a run of 1): each line is looked up
+    and filled on miss, marked dirty on writes and tagged with its
+    backing space.  Returns the {e first} line's outcome (the only one
+    the latency charge depends on).  Dirty lines evicted by the fills
+    accumulate in the run buffer — query with {!run_wb_count} /
+    {!run_wb_nvm} / {!run_wb_seq}; the caller charges the device.  The
+    buffer stays valid until the next {!access} or {!prefetch}.
+    Allocation-free after the buffer warms up. *)
 
-val prefetch : t -> int -> nvm:bool -> bool * writeback option
+val prefetch : t -> int -> nvm:bool -> bool
 (** Software prefetch: inserts (or marks) the line so the next demand
     access reports [Prefetched_hit].  Returns whether the line was
-    actually fetched (false = already resident, no device traffic). *)
-
-(** Allocation-free variants of {!access}/{!prefetch} for the simulation
-    hot path: instead of materializing a [writeback option], a dirty
-    eviction is recorded in pending slots on [t], valid until the next
-    [_q] call.  Query with {!wb_pending} / {!wb_nvm} / {!wb_seq} /
-    {!wb_addr} immediately after the call. *)
-
-val access_q : t -> int -> write:bool -> seq:bool -> nvm:bool -> outcome
-val prefetch_q : t -> int -> nvm:bool -> bool
-val wb_pending : t -> bool
-val wb_nvm : t -> bool
-val wb_seq : t -> bool
-val wb_addr : t -> int
-
-val access_run :
-  t -> int -> lines:int -> write:bool -> seq:bool -> nvm:bool -> outcome
-(** Walk the [lines] contiguous cache lines starting at the given
-    address: state transitions and counters identical to [lines]
-    successive {!access_q} calls, but dirty evictions accumulate in a
-    run buffer instead of the single pending slot, and the line hash is
-    stepped incrementally instead of recomputed.  Returns the {e first}
-    line's outcome (the only one the latency charge depends on).  Query
-    the buffered evictions with {!run_wb_count} / {!run_wb_nvm} /
-    {!run_wb_seq}; they stay valid until the next run walk.
-    Allocation-free after the buffer warms up. *)
+    actually fetched (false = already resident, no device traffic).  A
+    dirty eviction forced by the fill is left in the run buffer, as for
+    {!access}. *)
 
 val run_wb_count : t -> int
 val run_wb_nvm : t -> int -> bool
 val run_wb_seq : t -> int -> bool
+(** [run_wb_seq t i]: the [i]-th evicted line was dirtied by streaming
+    writes (it drains at the sequential rate). *)
 
 val line_dirty : t -> int -> bool
 (** Pure residency query: the line containing the address is resident

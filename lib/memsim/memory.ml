@@ -3,8 +3,9 @@
 
     This is the substrate standing in for the paper's evaluation machine.
     All simulated components (heap, GC, mutator) charge their memory
-    operations here; [access] returns the simulated duration of the
-    operation, which callers add to their simulated clock.
+    operations here through [access], which leaves the simulated duration
+    of the operation in [last_duration]; callers add it to their
+    simulated clock.
 
     Contention is modelled structurally, not by thread counting: each
     device is a pipe whose service credit accrues at wall rate, and every
@@ -86,7 +87,7 @@ type t = {
   trace_write : Simstats.Timeseries.t array;
   dur : float array;
       (** 1-slot out-parameter holding the duration of the last
-          {!access_into}/{!access_run_into} charge.  A flat float array,
+          {!access} charge.  A flat float array,
           not a [float ref]: the ref is a generic record, so every [:=]
           boxes the float — millions of avoidable minor allocations per
           sweep — while a float-array store is unboxed. *)
@@ -291,7 +292,8 @@ let[@inline] wb_device_charge t ~now_ns ~nvm ~seq =
   let w = write_frac t space ~now_ns in
   record_mix t space ~now_ns ~bytes:Llc.line_bytes Access.Write pattern;
   let rate =
-    Bandwidth.service_gbps (device t space) Access.Write pattern ~write_frac:w
+    Bandwidth.service_gbps (device t space) Access.Write pattern
+      ~bowl:(Bandwidth.mix_bowl ~write_frac:w)
   in
   let svc = Bandwidth.transfer_ns ~bytes:Llc.line_bytes ~gbps:rate in
   ignore (pipe_consume t idx ~now_ns ~service_ns:svc);
@@ -302,29 +304,14 @@ let[@inline] wb_device_charge t ~now_ns ~nvm ~seq =
     Simstats.Timeseries.add t.trace_write.(idx) ~time_ns:now_ns
       (float_of_int Llc.line_bytes)
 
-(* Evicted dirty lines are posted write-backs: flush-pipeline traffic
-   regardless of which subsystem dirtied the line. *)
-let charge_writeback_sc t ~now_ns ~nvm ~seq =
-  wb_device_charge t ~now_ns ~nvm ~seq;
-  match Nvmtrace.Hooks.recorder () with
-  | None -> ()
-  | Some r ->
-      Nvmtrace.Recorder.traffic r ~from_ns:now_ns ~until_ns:now_ns ~nvm
-        ~write:true ~cause:Nvmtrace.Recorder.Flush_pipe
-        ~bytes:(float_of_int Llc.line_bytes)
-
-(* Charge the dirty eviction (if any) left pending by the last [Llc]
-   [_q] call. *)
-let charge_pending_wb t ~now_ns =
-  if Llc.wb_pending t.llc then
-    charge_writeback_sc t ~now_ns ~nvm:(Llc.wb_nvm t.llc)
-      ~seq:(Llc.wb_seq t.llc)
-
-(* Drain the dirty evictions buffered by an {!Llc.access_run} walk, in
-   eviction order.  Float-for-float identical to the retired interleaved
-   probe/charge loop: a write-back charge reads no LLC state and a probe
-   reads no mix/pipe state, so only the order AMONG the charges is
-   observable — and that order is preserved.  Recorder attribution is
+(* Drain the dirty evictions buffered by the last {!Llc.access} or
+   {!Llc.prefetch}, in eviction order.  Evicted dirty lines are posted
+   write-backs: flush-pipeline traffic regardless of which subsystem
+   dirtied the line.  Draining after the whole walk is float-for-float
+   identical to charging each eviction as it happens: a write-back
+   charge reads no LLC state and a probe reads no mix/pipe state, so
+   only the order AMONG the charges is observable — and that order is
+   preserved.  Recorder attribution is
    batched into at most one delta per space: every contribution is an
    integer-valued float below 2^53, so [k] additions of 64 and one
    addition of [64 k] produce bit-identical totals and window buckets. *)
@@ -349,14 +336,6 @@ let drain_run_wbs t ~now_ns recorder =
           ~nvm:true ~write:true ~cause:Nvmtrace.Recorder.Flush_pipe
           ~bytes:(float_of_int (!nvm_lines * Llc.line_bytes))
 
-(** [access t ~now_ns ~addr a] charges access [a] at address [addr] and
-    returns its simulated duration in nanoseconds.
-
-    Duration = queue wait + (LLC/device) latency + transfer at the issuing
-    thread's rate.  The access also occupies the space's device pipe for
-    [bytes / service-rate]; when concurrent simulated threads out-demand
-    the device, the pipe backlog grows and every subsequent access queues —
-    the hard bandwidth ceiling that makes NVM GC non-scalable (§2.3). *)
 let llc_gbps = 64.0
 
 (* Duration once [latency] is known.  A latency within the LLC hit cost
@@ -371,7 +350,7 @@ let[@inline] duration_of t dev ~now_ns ~space ~kind ~pattern ~bytes ~latency ~w
   else begin
     let bowl = Bandwidth.mix_bowl ~write_frac:w in
     let idx_pipe = space_index space in
-    let rate = Bandwidth.service_gbps_b dev kind pattern ~bowl in
+    let rate = Bandwidth.service_gbps dev kind pattern ~bowl in
     let sbytes = service_bytes ~pattern ~bytes in
     let sbytes =
       (* Uncoalesced RMWs on Optane touch a full 256-byte internal
@@ -384,22 +363,32 @@ let[@inline] duration_of t dev ~now_ns ~space ~kind ~pattern ~bytes ~latency ~w
     let ci = class_idx kind pattern in
     t.service_by_class.(idx_pipe).(ci) <-
       t.service_by_class.(idx_pipe).(ci) +. service;
-    let gbps = Bandwidth.effective_gbps_b dev kind pattern ~bowl in
+    let gbps = Bandwidth.effective_gbps dev kind pattern ~bowl in
     let transfer = Float.max service (Bandwidth.transfer_ns ~bytes ~gbps) in
     queue_wait +. latency +. transfer
   end
 
-(* The single implementation behind {!access_into} and
-   {!access_run_into}: charge a (possibly multi-line) transfer in one
-   call.  Restructured from the retired per-line loop into the run
-   shape — probe the whole run first with evictions buffered, then the
-   mix/bandwidth charges — which is float-for-float identical (the
-   probes touch no float state; see {!drain_run_wbs}) but exposes an LLC
-   hit fast path: when the first line hits and nothing was evicted, the
-   only float effect of the retired path was the mix decay to [now_ns],
-   which [record_mix] performs identically, so the write-fraction read
-   and the whole bandwidth model are skipped. *)
-let access_main t ~now_ns ~addr ~space ~kind ~pattern ~bytes ~force_device =
+(** [access t ~now_ns ~addr ~space ~kind ~pattern ~bytes] charges the
+    access at address [addr] and leaves its simulated duration in
+    nanoseconds in the {!last_duration} cell.
+
+    Duration = queue wait + (LLC/device) latency + transfer at the issuing
+    thread's rate.  The access also occupies the space's device pipe for
+    [bytes / service-rate]; when concurrent simulated threads out-demand
+    the device, the pipe backlog grows and every subsequent access queues —
+    the hard bandwidth ceiling that makes NVM GC non-scalable (§2.3).
+
+    A (possibly multi-line) cached transfer is charged in one call: the
+    whole run is probed through the LLC first with evictions buffered,
+    then the mix/bandwidth charges follow — float-for-float identical to
+    charging line by line (the probes touch no float state; see
+    {!drain_run_wbs}).  The run shape exposes an LLC hit fast path: when
+    the first line hits and nothing was evicted, the only float effect of
+    the bandwidth model would be the mix decay to [now_ns], which
+    [record_mix] performs identically, so the write-fraction read and the
+    bandwidth model are skipped. *)
+let access ?(force_device = false) t ~now_ns ~addr ~space ~kind ~pattern
+    ~bytes =
   let prof_prev = Simstats.Hostprof.enter prof_access in
   let dev = device t space in
   let is_write = kind <> Access.Read in
@@ -412,7 +401,7 @@ let access_main t ~now_ns ~addr ~space ~kind ~pattern ~bytes ~force_device =
         let prev = Simstats.Hostprof.enter prof_llc in
         let lines = (bytes + Llc.line_bytes - 1) / Llc.line_bytes in
         let first =
-          Llc.access_run t.llc addr ~lines ~write:is_write
+          Llc.access t.llc addr ~lines ~write:is_write
             ~seq:(pattern = Access.Sequential)
             ~nvm:(space = Access.Nvm)
         in
@@ -481,36 +470,21 @@ let access_main t ~now_ns ~addr ~space ~kind ~pattern ~bytes ~force_device =
   t.dur.(0) <- duration;
   Simstats.Hostprof.leave prof_prev
 
-let access_into ?(force_device = false) t ~now_ns ~addr ~space ~kind
-    ~pattern ~bytes =
-  access_main t ~now_ns ~addr ~space ~kind ~pattern ~bytes ~force_device
-
-let access_run_into t ~now_ns ~addr ~space ~kind ~pattern ~bytes =
-  access_main t ~now_ns ~addr ~space ~kind ~pattern ~bytes
-    ~force_device:false
-
 let last_duration t = t.dur.(0)
-
-let access_scalar ?force_device t ~now_ns ~addr ~space ~kind ~pattern ~bytes =
-  access_into ?force_device t ~now_ns ~addr ~space ~kind ~pattern ~bytes;
-  t.dur.(0)
-
-let access ?force_device t ~now_ns ~addr (a : Access.t) =
-  access_scalar ?force_device t ~now_ns ~addr ~space:a.Access.space
-    ~kind:a.Access.kind ~pattern:a.Access.pattern ~bytes:a.Access.bytes
 
 (** Issue a software prefetch for the line at [addr]: marks the LLC and
     consumes read bandwidth.  Returns the (small) issue cost. *)
 let prefetch t ~now_ns ~addr space =
-  let fetched = Llc.prefetch_q t.llc addr ~nvm:(space = Access.Nvm) in
-  charge_pending_wb t ~now_ns;
+  let fetched = Llc.prefetch t.llc addr ~nvm:(space = Access.Nvm) in
+  let recorder = Nvmtrace.Hooks.recorder () in
+  drain_run_wbs t ~now_ns recorder;
   if fetched then begin
     (* the prefetched line occupies the device pipe like any other read *)
     record_mix t space ~now_ns ~bytes:Llc.line_bytes Access.Read Access.Random;
     let idx = space_index space in
     let rate =
       Bandwidth.service_gbps (device t space) Access.Read Access.Random
-        ~write_frac:(write_frac t space ~now_ns)
+        ~bowl:(Bandwidth.mix_bowl ~write_frac:(write_frac t space ~now_ns))
     in
     let svc = Bandwidth.transfer_ns ~bytes:Llc.line_bytes ~gbps:rate in
     ignore (pipe_consume t idx ~now_ns ~service_ns:svc);
@@ -520,7 +494,7 @@ let prefetch t ~now_ns ~addr space =
     if t.config.trace_enabled then
       Simstats.Timeseries.add t.trace_read.(idx) ~time_ns:now_ns
         (float_of_int Llc.line_bytes);
-    (match Nvmtrace.Hooks.recorder () with
+    (match recorder with
     | None -> ()
     | Some r ->
         Nvmtrace.Recorder.traffic r ~from_ns:now_ns ~until_ns:now_ns

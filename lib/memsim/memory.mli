@@ -58,26 +58,7 @@ val consumed_gbps : t -> Access.space -> now_ns:float -> float
 val utilization : t -> Access.space -> now_ns:float -> float
 (** Consumed bandwidth over current interfered capacity (can exceed 1). *)
 
-val access : ?force_device:bool -> t -> now_ns:float -> addr:int -> Access.t -> float
-(** Charge an access; returns its simulated duration in nanoseconds.
-    [force_device] models atomic/uncoalesced operations that always reach
-    the device regardless of cache residency (forwarding-pointer CAS). *)
-
-val access_scalar :
-  ?force_device:bool ->
-  t ->
-  now_ns:float ->
-  addr:int ->
-  space:Access.space ->
-  kind:Access.kind ->
-  pattern:Access.pattern ->
-  bytes:int ->
-  float
-(** Exactly {!access} with the descriptor passed as scalars — the
-    allocation-free entry point for the evacuation inner loop ({!access}
-    is a thin wrapper over this). *)
-
-val access_into :
+val access :
   ?force_device:bool ->
   t ->
   now_ns:float ->
@@ -87,36 +68,22 @@ val access_into :
   pattern:Access.pattern ->
   bytes:int ->
   unit
-(** Exactly {!access_scalar}, but the duration is left in an internal
-    cell (read with {!last_duration}) instead of returned — a returned
-    float boxes on every call, and the evacuation engine charges millions
-    of accesses per pause. *)
-
-val access_run_into :
-  t ->
-  now_ns:float ->
-  addr:int ->
-  space:Access.space ->
-  kind:Access.kind ->
-  pattern:Access.pattern ->
-  bytes:int ->
-  unit
-(** Bulk-transfer entry point: charge a contiguous [bytes]-long run
-    (spanning any number of 64-byte lines) in one call, leaving the
-    duration in the {!last_duration} cell.  Simulated results are
-    float-for-float identical to {!access_into} without [force_device] —
-    the digest gate in CI holds this to byte-identity — but the run is
-    walked through the LLC with an incrementally stepped line hash and
-    buffered dirty evictions, the per-line write-back charges drain in a
-    single pass with recorder attribution batched per space, and a run
-    whose first line hits with no evictions skips the write-fraction
-    read and the whole bandwidth model.  This is the path for the hot
-    bulk callers: evacuation object copies, write-cache write-backs,
-    header-map probe bursts and header-map cleanup. *)
+(** The one charge entry point: charge a [bytes]-long access at [addr]
+    (spanning any number of 64-byte lines; a single line is a run of 1)
+    and leave its simulated duration, in nanoseconds, in the
+    {!last_duration} cell — a returned float would box on every call,
+    and the evacuation engine charges millions of accesses per pause.
+    Cached reads and writes walk the run through the LLC with buffered
+    dirty evictions, whose write-back charges drain in one pass with
+    recorder attribution batched per space; a run whose first line hits
+    with no evictions skips the write-fraction read and the whole
+    bandwidth model.  Non-temporal writes bypass the cache.
+    [force_device] models atomic/uncoalesced operations that always
+    reach the device regardless of cache residency (forwarding-pointer
+    CAS). *)
 
 val last_duration : t -> float
-(** Duration of the most recent {!access_into}/{!access_run_into}
-    charge, in nanoseconds. *)
+(** Duration of the most recent {!access} charge, in nanoseconds. *)
 
 val prefetch : t -> now_ns:float -> addr:int -> Access.space -> float
 (** Software prefetch of one line; returns the issue cost in nanoseconds. *)

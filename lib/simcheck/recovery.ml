@@ -74,18 +74,17 @@ let check_durable_pair acc heap memory (pair : Nvmgc.Write_cache.pair) =
             "durable shadow region %d: object %d physically at 0x%x, not its \
              final address 0x%x"
             shadow.R.idx obj.O.id obj.O.phys obj.O.addr;
-        (match H.lookup heap obj.O.addr with
-        | Some bound when bound == obj -> ()
-        | Some _ ->
-            add acc
-              "durable shadow region %d: address 0x%x bound to a different \
-               object than %d"
-              shadow.R.idx obj.O.addr obj.O.id
-        | None ->
-            add acc
-              "durable shadow region %d: object %d unbound at its final \
-               address 0x%x"
-              shadow.R.idx obj.O.id obj.O.addr);
+        let bound = H.find_obj heap obj.O.addr in
+        if bound == R.dummy_obj then
+          add acc
+            "durable shadow region %d: object %d unbound at its final \
+             address 0x%x"
+            shadow.R.idx obj.O.id obj.O.addr
+        else if bound != obj then
+          add acc
+            "durable shadow region %d: address 0x%x bound to a different \
+             object than %d"
+            shadow.R.idx obj.O.addr obj.O.id;
         Array.iteri
           (fun i target ->
             if

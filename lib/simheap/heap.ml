@@ -153,10 +153,6 @@ let region_of_addr t addr =
   t.regions.(if t.region_shift >= 0 then off lsr t.region_shift
              else off / t.config.region_bytes)
 
-let lookup t addr =
-  let i = Addr_table.find t.addr_map addr in
-  if i < 0 then None else Some (Addr_table.value t.addr_map i)
-
 let find_obj t addr =
   let i = Addr_table.find t.addr_map addr in
   if i < 0 then Region.dummy_obj else Addr_table.value t.addr_map i

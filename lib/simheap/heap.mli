@@ -36,11 +36,10 @@ val free_cache_regions : t -> int
 val in_heap_range : t -> int -> bool
 val region_of_addr : t -> int -> Region.t
 
-val lookup : t -> int -> Objmodel.t option
 val lookup_exn : t -> int -> Objmodel.t
 
 val find_obj : t -> int -> Objmodel.t
-(** Allocation-free [lookup]: the bound object, or {!Region.dummy_obj}
+(** The object bound at the address, or {!Region.dummy_obj}
     (compare with [==]) when the address is unbound.  The per-pause
     verifier probes once per reference field, so a miss must not box an
     option. *)

@@ -34,22 +34,19 @@ let run_one ~space ~prefetch ~accesses ~seed =
   let slots = array_bytes / element_bytes in
   let indices = Array.init accesses (fun _ -> Simstats.Prng.int rng slots) in
   let clock = ref 0.0 in
+  let charge ~addr kind bytes =
+    Memsim.Memory.access memory ~now_ns:!clock ~addr ~space ~kind
+      ~pattern:Memsim.Access.Random ~bytes;
+    clock := !clock +. Memsim.Memory.last_duration memory
+  in
   for i = 0 to accesses - 1 do
     if prefetch && i + prefetch_distance < accesses then begin
       let ahead = base + (indices.(i + prefetch_distance) * element_bytes) in
       clock := !clock +. Memsim.Memory.prefetch memory ~now_ns:!clock ~addr:ahead space
     end;
     let addr = base + (indices.(i) * element_bytes) in
-    clock :=
-      !clock
-      +. Memsim.Memory.access memory ~now_ns:!clock ~addr
-           (Memsim.Access.v ~space ~kind:Memsim.Access.Read
-              ~pattern:Memsim.Access.Random element_bytes);
-    clock :=
-      !clock
-      +. Memsim.Memory.access memory ~now_ns:!clock ~addr
-           (Memsim.Access.v ~space ~kind:Memsim.Access.Write
-              ~pattern:Memsim.Access.Random update_bytes);
+    charge ~addr Memsim.Access.Read element_bytes;
+    charge ~addr Memsim.Access.Write update_bytes;
     clock := !clock +. compute_ns
   done;
   !clock /. 1e6

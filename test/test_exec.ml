@@ -144,7 +144,8 @@ let tamper name (inst : Simcheck.Spec.instance) =
     let try_unbind (o : Simheap.Objmodel.t) =
       if
         (not !unbound)
-        && Option.is_some (Simheap.Heap.lookup inst.Simcheck.Spec.heap o.addr)
+        && Simheap.Heap.find_obj inst.Simcheck.Spec.heap o.addr
+           != Simheap.Region.dummy_obj
       then begin
         Simheap.Heap.unbind inst.Simcheck.Spec.heap o.addr;
         unbound := true

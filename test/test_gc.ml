@@ -67,11 +67,8 @@ let check_heap_integrity env =
     if addr <> Simheap.Layout.null && not (Hashtbl.mem visited addr) then begin
       check_bool "reference points into the heap" true
         (H.in_heap_range env.heap addr);
-      let obj =
-        match H.lookup env.heap addr with
-        | Some o -> o
-        | None -> Alcotest.failf "dangling reference %d" addr
-      in
+      let obj = H.find_obj env.heap addr in
+      if obj == R.dummy_obj then Alcotest.failf "dangling reference %d" addr;
       check_int "object lives at its official address" addr obj.O.addr;
       check_int "phys = addr after the pause" obj.O.addr obj.O.phys;
       check_bool "not cached after the pause" false obj.O.cached;

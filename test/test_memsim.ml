@@ -61,7 +61,10 @@ let test_nt_bypasses_penalty () =
 
 let test_effective_gbps_bounds () =
   let d = Memsim.Device.optane in
-  let e = Memsim.Bandwidth.effective_gbps d A.Read A.Random ~write_frac:0.0 in
+  let e =
+    Memsim.Bandwidth.effective_gbps d A.Read A.Random
+      ~bowl:(Memsim.Bandwidth.mix_bowl ~write_frac:0.0)
+  in
   check_bool "never above solo" true
     (e <= d.Memsim.Device.thread_bw_read_random +. 1e-9);
   check_bool "positive" true (e > 0.0)
@@ -87,22 +90,32 @@ let test_transfer_ns () =
 (* ------------------------------------------------------------------ *)
 (* LLC                                                                 *)
 
+(* A single-line demand access (a run of 1). *)
+let llc_access llc addr ~write ~seq ~nvm =
+  Memsim.Llc.access llc addr ~lines:1 ~write ~seq ~nvm
+
+(* Dirty evictions buffered by the last access/prefetch, as (nvm, seq)
+   flags in eviction order. *)
+let evictions llc =
+  List.init (Memsim.Llc.run_wb_count llc) (fun i ->
+      (Memsim.Llc.run_wb_nvm llc i, Memsim.Llc.run_wb_seq llc i))
+
 let test_llc_hit_after_miss () =
   let llc = Memsim.Llc.create ~capacity_bytes:(64 * 1024) ~ways:8 in
-  let o1, _ = Memsim.Llc.access llc 4096 ~write:false ~seq:false ~nvm:true in
+  let o1 = llc_access llc 4096 ~write:false ~seq:false ~nvm:true in
   Alcotest.(check bool) "first access misses" true (o1 = Memsim.Llc.Miss);
-  let o2, _ = Memsim.Llc.access llc 4100 ~write:false ~seq:false ~nvm:true in
+  let o2 = llc_access llc 4100 ~write:false ~seq:false ~nvm:true in
   Alcotest.(check bool) "same line hits" true (o2 = Memsim.Llc.Hit)
 
 let test_llc_prefetch () =
   let llc = Memsim.Llc.create ~capacity_bytes:(64 * 1024) ~ways:8 in
-  let fetched, _ = Memsim.Llc.prefetch llc 8192 ~nvm:true in
+  let fetched = Memsim.Llc.prefetch llc 8192 ~nvm:true in
   check_bool "prefetch fetched" true fetched;
-  let o, _ = Memsim.Llc.access llc 8192 ~write:false ~seq:false ~nvm:true in
+  let o = llc_access llc 8192 ~write:false ~seq:false ~nvm:true in
   check_bool "prefetched hit" true (o = Memsim.Llc.Prefetched_hit);
-  let o, _ = Memsim.Llc.access llc 8192 ~write:false ~seq:false ~nvm:true in
+  let o = llc_access llc 8192 ~write:false ~seq:false ~nvm:true in
   check_bool "second access is a plain hit" true (o = Memsim.Llc.Hit);
-  let fetched, _ = Memsim.Llc.prefetch llc 8192 ~nvm:true in
+  let fetched = Memsim.Llc.prefetch llc 8192 ~nvm:true in
   check_bool "prefetch of resident line fetches nothing" false fetched
 
 let test_llc_dirty_writeback () =
@@ -110,14 +123,14 @@ let test_llc_dirty_writeback () =
   let llc = Memsim.Llc.create ~capacity_bytes:(4 * 64) ~ways:2 in
   let wbs = ref 0 and nvm_wbs = ref 0 in
   for i = 0 to 63 do
-    let _, wb =
-      Memsim.Llc.access llc (i * 64) ~write:true ~seq:false ~nvm:(i mod 2 = 0)
-    in
-    match wb with
-    | Some w ->
+    ignore
+      (llc_access llc (i * 64) ~write:true ~seq:false ~nvm:(i mod 2 = 0)
+        : Memsim.Llc.outcome);
+    List.iter
+      (fun (nvm, _) ->
         incr wbs;
-        if w.Memsim.Llc.wb_nvm then incr nvm_wbs
-    | None -> ()
+        if nvm then incr nvm_wbs)
+      (evictions llc)
   done;
   check_bool "write-backs happened" true (!wbs > 0);
   check_bool "some NVM write-backs" true (!nvm_wbs > 0);
@@ -126,18 +139,21 @@ let test_llc_dirty_writeback () =
 let test_llc_clean_eviction_no_writeback () =
   let llc = Memsim.Llc.create ~capacity_bytes:(4 * 64) ~ways:2 in
   for i = 0 to 63 do
-    let _, wb = Memsim.Llc.access llc (i * 64) ~write:false ~seq:false ~nvm:true in
-    Alcotest.(check bool) "clean lines never write back" true (wb = None)
+    ignore
+      (llc_access llc (i * 64) ~write:false ~seq:false ~nvm:true
+        : Memsim.Llc.outcome);
+    Alcotest.(check int) "clean lines never write back" 0
+      (Memsim.Llc.run_wb_count llc)
   done
 
 let test_llc_seq_flag_propagates () =
   let llc = Memsim.Llc.create ~capacity_bytes:(4 * 64) ~ways:2 in
   let seen_seq = ref false in
   for i = 0 to 63 do
-    let _, wb = Memsim.Llc.access llc (i * 64) ~write:true ~seq:true ~nvm:true in
-    match wb with
-    | Some w -> if w.Memsim.Llc.wb_seq then seen_seq := true
-    | None -> ()
+    ignore
+      (llc_access llc (i * 64) ~write:true ~seq:true ~nvm:true
+        : Memsim.Llc.outcome);
+    List.iter (fun (_, seq) -> if seq then seen_seq := true) (evictions llc)
   done;
   check_bool "sequentially-dirtied lines drain as sequential" true !seen_seq
 
@@ -149,21 +165,78 @@ let test_llc_capacity_rounding () =
 
 let test_llc_clear () =
   let llc = Memsim.Llc.create ~capacity_bytes:(64 * 1024) ~ways:8 in
-  ignore (Memsim.Llc.access llc 0 ~write:true ~seq:false ~nvm:true);
+  ignore (llc_access llc 0 ~write:true ~seq:false ~nvm:true : Memsim.Llc.outcome);
   Memsim.Llc.clear llc;
-  let o, wb = Memsim.Llc.access llc 0 ~write:false ~seq:false ~nvm:true in
+  let o = llc_access llc 0 ~write:false ~seq:false ~nvm:true in
   check_bool "cleared: miss again, no stale dirty write-back" true
-    (o = Memsim.Llc.Miss && wb = None)
+    (o = Memsim.Llc.Miss && Memsim.Llc.run_wb_count llc = 0)
 
 let test_llc_capacity_behaviour () =
   let llc = Memsim.Llc.create ~capacity_bytes:(16 * 1024) ~ways:8 in
   for _round = 1 to 3 do
     for i = 0 to 63 do
-      ignore (Memsim.Llc.access llc (i * 64) ~write:false ~seq:false ~nvm:true)
+      ignore
+        (llc_access llc (i * 64) ~write:false ~seq:false ~nvm:true
+          : Memsim.Llc.outcome)
     done
   done;
   check_bool "small working set mostly hits" true
     (Memsim.Llc.hits llc >= 2 * 64)
+
+(* The run walk is its own spec: an n-line [Llc.access] is equivalent to
+   n single-line accesses on a twin cache — same first outcome, same
+   counters, the same dirty evictions in the same order, and the same
+   dirty state on every line. *)
+let prop_run_equals_single_lines =
+  QCheck2.Test.make ~name:"run walk = per-line accesses on a twin cache"
+    ~count:200
+    QCheck2.Gen.(
+      triple
+        (list_size (int_range 0 60) (pair (int_range 0 255) (int_range 0 7)))
+        (pair (int_range 0 ((256 * 64) - 1)) (int_range 1 24))
+        (int_range 0 7))
+    (fun (prior, (addr, n), flags) ->
+      let mk () = Memsim.Llc.create ~capacity_bytes:(16 * 64) ~ways:4 in
+      let run = mk () and twin = mk () in
+      (* Identical arbitrary prior state on both caches: dirty, seq and
+         nvm-tagged lines plus prefetch marks. *)
+      List.iter
+        (fun (line, f) ->
+          List.iter
+            (fun llc ->
+              if f = 7 then
+                ignore (Memsim.Llc.prefetch llc (line * 64) ~nvm:true : bool)
+              else
+                ignore
+                  (llc_access llc (line * 64) ~write:(f land 1 <> 0)
+                     ~seq:(f land 2 <> 0) ~nvm:(f land 4 <> 0)
+                    : Memsim.Llc.outcome))
+            [ run; twin ])
+        prior;
+      let write = flags land 1 <> 0
+      and seq = flags land 2 <> 0
+      and nvm = flags land 4 <> 0 in
+      let first = Memsim.Llc.access run addr ~lines:n ~write ~seq ~nvm in
+      let first1 = llc_access twin addr ~write ~seq ~nvm in
+      let twin_wbs = ref (evictions twin) in
+      for i = 1 to n - 1 do
+        ignore
+          (llc_access twin (((addr / 64) + i) * 64) ~write ~seq ~nvm
+            : Memsim.Llc.outcome);
+        twin_wbs := !twin_wbs @ evictions twin
+      done;
+      let counters llc =
+        Memsim.Llc.
+          [ hits llc; misses llc; prefetch_hits llc; writebacks llc ]
+      in
+      first = first1
+      && counters run = counters twin
+      && evictions run = !twin_wbs
+      && List.for_all
+           (fun line ->
+             Memsim.Llc.line_dirty run (line * 64)
+             = Memsim.Llc.line_dirty twin (line * 64))
+           (List.init 300 Fun.id))
 
 (* ------------------------------------------------------------------ *)
 (* Memory                                                              *)
@@ -172,11 +245,17 @@ let mk_memory ?(trace = false) () =
   Memsim.Memory.create
     { Memsim.Memory.default_config with trace_enabled = trace }
 
+(* One charge through the memsim entry point; returns its duration. *)
+let access ?force_device m ~now_ns ~addr ~space ~kind ~pattern bytes =
+  Memsim.Memory.access ?force_device m ~now_ns ~addr ~space ~kind ~pattern
+    ~bytes;
+  Memsim.Memory.last_duration m
+
 let test_memory_duration_positive () =
   let m = mk_memory () in
   let d =
-    Memsim.Memory.access m ~now_ns:0.0 ~addr:4096
-      (A.v ~space:A.Nvm ~kind:A.Read ~pattern:A.Random 64)
+    access m ~now_ns:0.0 ~addr:4096
+      ~space:A.Nvm ~kind:A.Read ~pattern:A.Random 64
   in
   check_bool "positive duration" true (d > 0.0);
   check_bool "at least the miss latency" true
@@ -185,8 +264,8 @@ let test_memory_duration_positive () =
 let test_memory_hit_cheaper () =
   let m = mk_memory () in
   let once () =
-    Memsim.Memory.access m ~now_ns:0.0 ~addr:4096
-      (A.v ~space:A.Nvm ~kind:A.Read ~pattern:A.Random 64)
+    access m ~now_ns:0.0 ~addr:4096
+      ~space:A.Nvm ~kind:A.Read ~pattern:A.Random 64
   in
   let miss = once () in
   let hit = once () in
@@ -196,25 +275,59 @@ let test_memory_prefetch_discount () =
   let m = mk_memory () in
   ignore (Memsim.Memory.prefetch m ~now_ns:0.0 ~addr:8192 A.Nvm);
   let d =
-    Memsim.Memory.access m ~now_ns:0.0 ~addr:8192
-      (A.v ~space:A.Nvm ~kind:A.Read ~pattern:A.Random 64)
+    access m ~now_ns:0.0 ~addr:8192
+      ~space:A.Nvm ~kind:A.Read ~pattern:A.Random 64
   in
   check_bool "prefetched access cheaper than a full miss" true
     (d < Memsim.Device.optane.Memsim.Device.read_latency_random_ns)
+
+(* A prefetch's dirty eviction drains through the same write-back charge
+   as a demand access's: one posted 64-byte NVM write, attributed to the
+   flush pipeline. *)
+let test_memory_prefetch_evicts_dirty () =
+  let r = Nvmtrace.Recorder.create () in
+  Nvmtrace.Hooks.set_recorder (Some r);
+  Fun.protect
+    ~finally:(fun () -> Nvmtrace.Hooks.set_recorder None)
+    (fun () ->
+      (* a one-line LLC: the prefetch must evict the dirtied line *)
+      let m =
+        Memsim.Memory.create
+          {
+            Memsim.Memory.default_config with
+            llc_capacity_bytes = 64;
+            llc_ways = 1;
+          }
+      in
+      ignore
+        (access m ~now_ns:0.0 ~addr:0 ~space:A.Nvm ~kind:A.Write
+           ~pattern:A.Random 8);
+      let flushed () =
+        Nvmtrace.Recorder.total r ~nvm:true ~write:true
+          Nvmtrace.Recorder.Flush_pipe
+      in
+      let before = Memsim.Memory.snapshot m and flushed_before = flushed () in
+      check_bool "line fetched" true
+        (Memsim.Memory.prefetch m ~now_ns:10.0 ~addr:4096 A.Nvm > 0.0
+        && Memsim.Llc.writebacks (Memsim.Memory.llc m) = 1);
+      let d = Memsim.Memory.diff ~before ~after:(Memsim.Memory.snapshot m) in
+      check_float "one line written back" 64.0 d.Memsim.Memory.nvm_write_bytes;
+      check_float "attributed to the flush pipe" 64.0
+        (flushed () -. flushed_before))
 
 let test_memory_force_device () =
   let m = mk_memory () in
   (* warm the line so a normal write would hit *)
   ignore
-    (Memsim.Memory.access m ~now_ns:0.0 ~addr:4096
-       (A.v ~space:A.Nvm ~kind:A.Read ~pattern:A.Random 64));
+    (access m ~now_ns:0.0 ~addr:4096
+       ~space:A.Nvm ~kind:A.Read ~pattern:A.Random 64);
   let cached =
-    Memsim.Memory.access m ~now_ns:100.0 ~addr:4096
-      (A.v ~space:A.Nvm ~kind:A.Write ~pattern:A.Random 8)
+    access m ~now_ns:100.0 ~addr:4096
+      ~space:A.Nvm ~kind:A.Write ~pattern:A.Random 8
   in
   let forced =
-    Memsim.Memory.access ~force_device:true m ~now_ns:200.0 ~addr:4096
-      (A.v ~space:A.Nvm ~kind:A.Write ~pattern:A.Random 8)
+    access ~force_device:true m ~now_ns:200.0 ~addr:4096
+      ~space:A.Nvm ~kind:A.Write ~pattern:A.Random 8
   in
   check_bool "forced atomic write dearer than cached write" true
     (forced > cached)
@@ -226,9 +339,9 @@ let test_memory_pipe_ceiling () =
   let finish = ref 0.0 in
   for i = 0 to n - 1 do
     let d =
-      Memsim.Memory.access m ~now_ns:0.0
+      access m ~now_ns:0.0
         ~addr:(Simheap.Layout.heap_base + (i * bytes))
-        (A.v ~space:A.Nvm ~kind:A.Read ~pattern:A.Sequential bytes)
+        ~space:A.Nvm ~kind:A.Read ~pattern:A.Sequential bytes
     in
     finish := Float.max !finish d
   done;
@@ -243,8 +356,8 @@ let test_memory_write_frac_tracking () =
   let m = mk_memory () in
   for i = 0 to 9 do
     ignore
-      (Memsim.Memory.access m ~now_ns:(float_of_int i) ~addr:(i * 64)
-         (A.v ~space:A.Nvm ~kind:A.Write ~pattern:A.Random 64))
+      (access m ~now_ns:(float_of_int i) ~addr:(i * 64)
+         ~space:A.Nvm ~kind:A.Write ~pattern:A.Random 64)
   done;
   check_bool "write-only traffic -> write_frac near 1" true
     (Memsim.Memory.write_frac m A.Nvm ~now_ns:10.0 > 0.8);
@@ -255,14 +368,14 @@ let test_memory_mixed_slower_than_pure () =
   let pure = mk_memory () in
   let mixed = mk_memory () in
   let read m i now =
-    Memsim.Memory.access m ~now_ns:now
+    access m ~now_ns:now
       ~addr:(Simheap.Layout.heap_base + (i * 8192))
-      (A.v ~space:A.Nvm ~kind:A.Read ~pattern:A.Sequential 8192)
+      ~space:A.Nvm ~kind:A.Read ~pattern:A.Sequential 8192
   in
   let write m i now =
-    Memsim.Memory.access m ~now_ns:now
+    access m ~now_ns:now
       ~addr:(Simheap.Layout.dram_scratch_base + (i * 8192))
-      (A.v ~space:A.Nvm ~kind:A.Write ~pattern:A.Random 8192)
+      ~space:A.Nvm ~kind:A.Write ~pattern:A.Random 8192
   in
   let t_pure = ref 0.0 in
   for i = 0 to 199 do
@@ -285,9 +398,9 @@ let test_memory_nt_write_efficiency () =
     for i = 0 to 99 do
       t :=
         !t
-        +. Memsim.Memory.access m ~now_ns:!t
+        +. access m ~now_ns:!t
              ~addr:(Simheap.Layout.heap_base + (i * 16384))
-             (A.v ~space:A.Nvm ~kind ~pattern:A.Sequential 16384)
+             ~space:A.Nvm ~kind ~pattern:A.Sequential 16384
     done;
     !t
   in
@@ -299,11 +412,11 @@ let test_memory_snapshot_diff () =
   let m = mk_memory () in
   let before = Memsim.Memory.snapshot m in
   ignore
-    (Memsim.Memory.access m ~now_ns:0.0 ~addr:0
-       (A.v ~space:A.Nvm ~kind:A.Read ~pattern:A.Sequential 1000));
+    (access m ~now_ns:0.0 ~addr:0
+       ~space:A.Nvm ~kind:A.Read ~pattern:A.Sequential 1000);
   ignore
-    (Memsim.Memory.access m ~now_ns:10.0 ~addr:64
-       (A.v ~space:A.Dram ~kind:A.Write ~pattern:A.Sequential 500));
+    (access m ~now_ns:10.0 ~addr:64
+       ~space:A.Dram ~kind:A.Write ~pattern:A.Sequential 500);
   let diff = Memsim.Memory.diff ~before ~after:(Memsim.Memory.snapshot m) in
   check_float "nvm reads counted" 1000.0 diff.Memsim.Memory.nvm_read_bytes;
   check_float "dram writes counted" 500.0 diff.Memsim.Memory.dram_write_bytes;
@@ -312,8 +425,8 @@ let test_memory_snapshot_diff () =
 let test_memory_traces () =
   let m = mk_memory ~trace:true () in
   ignore
-    (Memsim.Memory.access m ~now_ns:0.0 ~addr:0
-       (A.v ~space:A.Nvm ~kind:A.Read ~pattern:A.Sequential 4096));
+    (access m ~now_ns:0.0 ~addr:0
+       ~space:A.Nvm ~kind:A.Read ~pattern:A.Sequential 4096);
   let series = Memsim.Memory.read_trace m A.Nvm in
   Alcotest.(check (float 1.0)) "trace mass = bytes" 4096.0
     (Simstats.Timeseries.total series)
@@ -330,7 +443,7 @@ let test_memory_record_background () =
      w > 0.2 && w < 0.5)
 
 (* The float-identity arguments behind the batched run/drain path
-   (Memory.access_run_into), as executable properties:
+   (Memory.access), as executable properties:
 
    1. the traffic-mix EMA is affine in its contributions — decaying to a
       timestamp then adding k integer-valued parts is bit-for-bit the
@@ -416,8 +529,8 @@ let prop_recorder_cause_totals_exact =
               let addr = b * 97 mod 50_000 * 8 in
               now := !now +. float_of_int (1 + (a mod 50));
               Memsim.Memory.set_cause m cause;
-              Memsim.Memory.access_run_into m ~now_ns:!now ~addr ~space ~kind
-                ~pattern ~bytes)
+              Memsim.Memory.access m ~now_ns:!now ~addr ~space ~kind ~pattern
+                ~bytes)
             ops;
           let d =
             Memsim.Memory.diff ~before ~after:(Memsim.Memory.snapshot m)
@@ -442,13 +555,13 @@ let prop_access_duration_monotone_in_size =
     (fun bytes ->
       let m = mk_memory () in
       let d1 =
-        Memsim.Memory.access m ~now_ns:0.0 ~addr:Simheap.Layout.heap_base
-          (A.v ~space:A.Nvm ~kind:A.Nt_write ~pattern:A.Sequential bytes)
+        access m ~now_ns:0.0 ~addr:Simheap.Layout.heap_base
+          ~space:A.Nvm ~kind:A.Nt_write ~pattern:A.Sequential bytes
       in
       let m2 = mk_memory () in
       let d2 =
-        Memsim.Memory.access m2 ~now_ns:0.0 ~addr:Simheap.Layout.heap_base
-          (A.v ~space:A.Nvm ~kind:A.Nt_write ~pattern:A.Sequential (bytes * 2))
+        access m2 ~now_ns:0.0 ~addr:Simheap.Layout.heap_base
+          ~space:A.Nvm ~kind:A.Nt_write ~pattern:A.Sequential (bytes * 2)
       in
       d2 >= d1)
 
@@ -481,12 +594,15 @@ let () =
           Alcotest.test_case "capacity rounding" `Quick test_llc_capacity_rounding;
           Alcotest.test_case "clear" `Quick test_llc_clear;
           Alcotest.test_case "capacity behaviour" `Quick test_llc_capacity_behaviour;
+          qc prop_run_equals_single_lines;
         ] );
       ( "memory",
         [
           Alcotest.test_case "duration positive" `Quick test_memory_duration_positive;
           Alcotest.test_case "hit cheaper" `Quick test_memory_hit_cheaper;
           Alcotest.test_case "prefetch discount" `Quick test_memory_prefetch_discount;
+          Alcotest.test_case "prefetch evicts dirty" `Quick
+            test_memory_prefetch_evicts_dirty;
           Alcotest.test_case "force device" `Quick test_memory_force_device;
           Alcotest.test_case "pipe ceiling" `Quick test_memory_pipe_ceiling;
           Alcotest.test_case "write frac tracking" `Quick

@@ -219,7 +219,8 @@ let test_failure_carries_flight_dump () =
       let try_unbind (o : Simheap.Objmodel.t) =
         if
           (not !unbound)
-          && Option.is_some (Simheap.Heap.lookup inst.Spec.heap o.addr)
+          && Simheap.Heap.find_obj inst.Spec.heap o.addr
+             != Simheap.Region.dummy_obj
         then begin
           Simheap.Heap.unbind inst.Spec.heap o.addr;
           unbound := true

@@ -99,14 +99,14 @@ let test_graph_every_entry_reachable () =
       && H.in_heap_range heap addr
       && not (Hashtbl.mem visited addr)
     then begin
-      match H.lookup heap addr with
-      | None -> Alcotest.failf "dangling generated reference %d" addr
-      | Some o ->
-          let region = H.region_of_addr heap addr in
-          if region.R.kind = R.Eden then begin
-            Hashtbl.add visited addr ();
-            Array.iter visit o.O.fields
-          end
+      let o = H.find_obj heap addr in
+      if o == R.dummy_obj then
+        Alcotest.failf "dangling generated reference %d" addr;
+      let region = H.region_of_addr heap addr in
+      if region.R.kind = R.Eden then begin
+        Hashtbl.add visited addr ();
+        Array.iter visit o.O.fields
+      end
     end
   in
   Simstats.Vec.iter (fun (r : O.root) -> visit r.O.target) (H.roots heap);
@@ -181,7 +181,7 @@ let test_old_space_recycle_protects_holders () =
   (* holder still usable *)
   let h, f = Workloads.Old_space.take_slot pool in
   check_bool "holder survives recycling" true
-    (H.lookup heap h.O.addr <> None && f >= 0)
+    (H.find_obj heap h.O.addr != R.dummy_obj && f >= 0)
 
 (* ------------------------------------------------------------------ *)
 (* Mutator                                                             *)
