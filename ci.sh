@@ -70,12 +70,17 @@ if [ "$d_off" != "$d_rel" ] || [ "$d_off" != "$d_rel8" ]; then
 fi
 
 # Workload pins: each benchmark workload's simulated output at seed 42
-# must match its digest in perfbench/pins.txt.  --pin prints a host
-# fingerprint line, then the pin line.  This leg only reads perfbench/.
-for w in grid-verified scaling-sweep long-pauses fuzz-crash; do
+# must match its digest in perfbench/pins.txt.  fuzz-crash, the only
+# workload that runs the evacuation loop under a schedule, is also
+# checked at the held-out seed 13.  --pin prints a host fingerprint
+# line, then the pin line.  This leg only reads perfbench/.
+for pin in grid-verified:42 scaling-sweep:42 long-pauses:42 fuzz-crash:42 \
+  fuzz-crash:13; do
+  w=${pin%:*}
+  s=${pin#*:}
   got=$(dune exec --profile release perfbench/bin/nvmgc_bench.exe -- \
-    --pin --workload "$w" --seed 42 | tail -n 1)
-  want=$(grep "^$w 42 " perfbench/pins.txt)
+    --pin --workload "$w" --seed "$s" | tail -n 1)
+  want=$(grep "^$w $s " perfbench/pins.txt)
   if [ "$got" != "$want" ]; then
     echo "ci: workload $w perturbed simulated results" \
       "(got '$got', pinned '$want')" >&2

@@ -12,9 +12,10 @@
        the referent's references (sequential read), prefetching their
        targets.
 
-    Simulated GC threads run under a deterministic min-clock scheduler:
-    each step executes one unit of work for the thread with the smallest
-    simulated clock and charges its memory costs against {!Memsim.Memory}.
+    Simulated GC threads run under a deterministic min-clock scheduler
+    (or an installed {!Schedule}): each step executes one unit of work for
+    the thread with the smallest simulated clock (or the schedule's pick)
+    and charges its memory costs against {!Memsim.Memory}.
     Work stealing only targets stacks with at least two items, so
     pointer-chain-shaped graphs serialize naturally — reproducing the
     load imbalance the paper observes for akka-uct. *)
@@ -53,16 +54,6 @@ type crash_state = {
 }
 
 exception Crashed of crash_state
-
-(** Deliberate flush-protocol violations for mutation-testing the
-    recovery oracle (consumed once per pause). *)
-type tamper =
-  | Tamper_early_ready
-      (** answer one Keep decision of the §4.2 readiness protocol with
-          Ready: retire and flush a pair while pending reference updates
-          can still target it *)
-  | Tamper_drop_flush
-      (** report a flush complete without writing the bytes to NVM *)
 
 (** Where a GC thread's time goes — the simulator's version of the paper's
     §3.1 step-by-step memory-behaviour analysis. *)
@@ -156,7 +147,8 @@ type t = {
   config : Gc_config.t;
   schedule : Schedule.t option;
       (** [Some] replaces every discretionary decision (thread order,
-          steal victims, region grabs, fallback/flush timing) — the
+          steal victims, region grabs, fallback/flush timing) and carries
+          the crash and tamper injections — the engine's one
           simulation-testing seam.  [None] keeps the min-clock engine. *)
   header_map : Header_map.t option;  (** [Some] iff active this pause *)
   write_cache : Write_cache.t option;
@@ -195,8 +187,7 @@ type t = {
       (** region idx of every shadow reported durable so far *)
   mutable post_flush_writes : (int * int) list;
       (** (region idx, addr) of slot updates into flushed shadows *)
-  tamper : tamper option;
-  mutable tamper_armed : bool;
+  mutable tamper_armed : bool;  (** schedule's [tamper] not yet fired *)
 }
 
 (* Placeholder for the destination-scratch region field before the first
@@ -236,7 +227,7 @@ let make_thread ~start_ns tid =
    (Young_gc); GC thread [tid] owns lane [tid + 1]. *)
 let lane th = th.tid + 1
 
-let create ?tamper ~schedule ~heap ~memory ~(config : Gc_config.t) ~header_map
+let create ~schedule ~heap ~memory ~(config : Gc_config.t) ~header_map
     ~write_cache ~start_ns () =
   let t =
     {
@@ -266,8 +257,7 @@ let create ?tamper ~schedule ~heap ~memory ~(config : Gc_config.t) ~header_map
       crash_points = 0;
       flushed_shadows = Hashtbl.create 8;
       post_flush_writes = [];
-      tamper;
-      tamper_armed = tamper <> None;
+      tamper_armed = true;
     }
   in
   if Nvmtrace.Hooks.tracing () then begin
@@ -322,10 +312,12 @@ let crash_point t =
              })
 
 (* One-shot tamper trigger: fires on the first opportunity matching the
-   armed mode, then disarms. *)
+   schedule's tamper mode, then disarms for the rest of the pause. *)
 let consume_tamper t which =
   t.tamper_armed
-  && (match t.tamper with Some w -> w = which | None -> false)
+  && (match t.schedule with
+     | Some { Schedule.tamper = Some w; _ } -> w = which
+     | Some _ | None -> false)
   && begin
        t.tamper_armed <- false;
        true
@@ -425,7 +417,7 @@ let flush_pair t th (pair : Write_cache.pair) =
        durable), and after the write but before the flush is reported
        complete (bytes down, pair still officially unflushed). *)
     crash_point t;
-    if consume_tamper t Tamper_drop_flush then
+    if consume_tamper t Schedule.Tamper_drop_flush then
       (* Injected fault: skip the device traffic entirely — the pair
          will still be reported flushed below. *)
       crash_point t
@@ -476,6 +468,23 @@ let async_flush t th pair =
     flush_pair t th pair
   end
 
+(* Injected fault (the schedule's one-shot [Tamper_early_ready]): retire
+   and flush the thread's live or just-filled [pair] although the Figure-4
+   protocol says it is NOT ready (a memorized reference is unprocessed, or
+   stealing broke its LIFO order), so slot updates can land after the
+   flush is reported durable. *)
+let inject_early_ready t th pair =
+  if
+    async_mode t
+    && (not pair.Write_cache.flushed)
+    && consume_tamper t Schedule.Tamper_early_ready
+  then begin
+    Write_cache.mark_filled pair;
+    th.pair <- None;
+    th.async_flushes <- th.async_flushes + 1;
+    flush_pair t th pair
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Destination allocation                                              *)
 
@@ -507,18 +516,7 @@ let rec alloc_cached t th size =
         Write_cache.mark_filled pair;
         th.pair <- None;
         if Flush_tracker.ready_on_fill pair then async_flush t th pair
-        else if
-          async_mode t
-          && (not pair.Write_cache.flushed)
-          && consume_tamper t Tamper_early_ready
-        then begin
-          (* Injected fault: the Figure-4 protocol says this pair is
-             NOT ready (its memorized last reference is unprocessed, or
-             stealing broke the LIFO order it relies on), but flush it
-             anyway — reported ready one step early. *)
-          th.async_flushes <- th.async_flushes + 1;
-          flush_pair t th pair
-        end;
+        else inject_early_ready t th pair;
         alloc_cached t th size
       end
   | None -> begin
@@ -847,23 +845,10 @@ let process_item t th ~slot ~home =
           ~referent_home:t.last_copy_home
       with
       | Flush_tracker.Ready p -> async_flush t th p
-      | Flush_tracker.Keep ->
-          if
-            async_mode t
-            && (not pair.Write_cache.flushed)
-            && (match th.pair with Some p -> p == pair | None -> false)
-            && consume_tamper t Tamper_early_ready
-          then begin
-            (* Injected fault: answer this Keep decision with Ready —
-               retire and flush the pair while the Figure-4 protocol
-               still tracks pending references into it (the just-pushed
-               or still-memorized items whose slot updates will land
-               after the flush is reported durable). *)
-            Write_cache.mark_filled pair;
-            th.pair <- None;
-            th.async_flushes <- th.async_flushes + 1;
-            flush_pair t th pair
-          end
+      | Flush_tracker.Keep -> (
+          match th.pair with
+          | Some p when p == pair -> inject_early_ready t th pair
+          | Some _ | None -> ())
     end
   | None -> ()
 
@@ -871,11 +856,9 @@ let process_item t th ~slot ~home =
 (* Scheduling                                                          *)
 
 (* Index of the non-terminated thread with the smallest clock (ties by
-   lowest tid), -1 when all are terminated.  Allocation-free: this runs
-   once per popped work item, scanning every thread. *)
-(* Top-level recursion carrying only ints (the current best's clock is
-   re-read by index): both a [ref] pair and a captured local [let rec]
-   would allocate once per popped work item in classic ocamlopt. *)
+   lowest tid), -1 when all are terminated.  Runs once per popped item, so
+   it is a top-level int-only recursion: a [ref] pair or a captured local
+   [let rec] would allocate per call in classic ocamlopt. *)
 let rec min_clock_go threads n i best =
   if i >= n then best
   else begin
@@ -981,14 +964,49 @@ let charge_remset_scan t ~tid ~bytes =
     ~space:Memsim.Access.Dram ~kind:Memsim.Access.Read
     ~pattern:Memsim.Access.Sequential ~bytes
 
-(** The production engine: deterministic min-clock scheduling with the
-    largest-stack steal policy and the spin-based termination protocol. *)
-let run_min_clock t =
+(* Thread ids able to make progress right now: a non-empty stack (pop) or
+   some thread holding >= 2 items (steal; an empty-stacked thief is never
+   that holder).  Every choice from this set pops or steals, so adversarial
+   schedules cannot starve a scheduled traversal. *)
+let runnable_tids t =
+  let stealable =
+    Array.exists (fun v -> Work_stack.length v.stack >= 2) t.threads
+  in
+  let ids = ref [] in
+  for i = Array.length t.threads - 1 downto 0 do
+    let th = t.threads.(i) in
+    if (not th.terminated) && (stealable || not (Work_stack.is_empty th.stack))
+    then ids := th.tid :: !ids
+  done;
+  Array.of_list !ids
+
+(* The loop's one policy switch: the thread that steps next, or -1 when
+   nobody can.  Min-clock weighs every non-terminated thread, spinners
+   included; a schedule picks among the runnable ones only, so its picks
+   never reach the spin branch. *)
+let next_thread t =
+  match t.schedule with
+  | None -> min_clock_thread t
+  | Some s -> (
+      match runnable_tids t with
+      | [||] -> -1
+      | runnable ->
+          let n = Array.length runnable in
+          let i = s.Schedule.pick_thread ~runnable in
+          runnable.(((i mod n) + n) mod n))
+
+(* The §3.1 loop: per iteration, the chosen thread pops, steals, or spins
+   in the termination protocol (it terminates once every stack is empty);
+   when nobody can step, everyone is done. *)
+let traverse t =
   let continue_ = ref true in
   while !continue_ do
-    match min_clock_thread t with
-    | -1 -> continue_ := false
-    | i -> begin
+    crash_point t;
+    match next_thread t with
+    | -1 ->
+        Array.iter (fun th -> th.terminated <- true) t.threads;
+        continue_ := false
+    | i ->
         let th = t.threads.(i) in
         if not (Work_stack.is_empty th.stack) then begin
           let slot = Work_stack.pop_nonempty th.stack in
@@ -999,63 +1017,16 @@ let run_min_clock t =
           process_item t th ~slot ~home
         end
         else if not (try_steal t th) then begin
-              if all_stacks_empty t then th.terminated <- true
-              else begin
-                (* Someone still holds unstealable work (e.g. a chain):
-                   spin in the termination protocol and retry. *)
-                th.spin_ns.(0) <- th.spin_ns.(0) +. idle_spin_ns;
-                charge_cpu th idle_spin_ns
-              end
-            end
-      end
-  done
-
-(* Thread ids able to make progress right now: a non-empty stack (pop) or
-   some other thread holding >= 2 items (steal).  Every choice from this
-   set pops or steals, so a scheduled traversal always terminates —
-   adversarial schedules cannot starve it. *)
-let runnable_tids t =
-  let stealable_from tid =
-    Array.exists
-      (fun v -> v.tid <> tid && Work_stack.length v.stack >= 2)
-      t.threads
-  in
-  let ids = ref [] in
-  for i = Array.length t.threads - 1 downto 0 do
-    let th = t.threads.(i) in
-    if
-      (not th.terminated)
-      && ((not (Work_stack.is_empty th.stack)) || stealable_from th.tid)
-    then ids := th.tid :: !ids
-  done;
-  Array.of_list !ids
-
-(** The simulation-testing engine: the schedule picks the next thread
-    among those able to progress; the spin path of the termination
-    protocol is bypassed (once nobody can progress, everyone is done). *)
-let run_scheduled t (s : Schedule.t) =
-  let continue_ = ref true in
-  while !continue_ do
-    crash_point t;
-    match runnable_tids t with
-    | [||] ->
-        Array.iter (fun th -> th.terminated <- true) t.threads;
-        continue_ := false
-    | runnable -> begin
-        let n = Array.length runnable in
-        let i = s.Schedule.pick_thread ~runnable in
-        let th = t.threads.(runnable.(((i mod n) + n) mod n)) in
-        if not (Work_stack.is_empty th.stack) then begin
-          let slot = Work_stack.pop_nonempty th.stack in
-          let home = Work_stack.popped_home th.stack in
-          if Work_stack.is_empty th.stack then t.busy <- t.busy - 1;
-          process_item t th ~slot ~home
+          if all_stacks_empty t then th.terminated <- true
+          else begin
+            (* Someone still holds unstealable work (e.g. a chain):
+               spin in the termination protocol and retry.  A scheduled
+               pick can always pop or steal, so only min-clock spins. *)
+            assert (Option.is_none t.schedule);
+            th.spin_ns.(0) <- th.spin_ns.(0) +. idle_spin_ns;
+            charge_cpu th idle_spin_ns
+          end
         end
-        else
-          (* runnable with an empty stack means a victim with >= 2
-             items exists, so the steal succeeds *)
-          ignore (try_steal t th)
-      end
   done
 
 (** Run copy-and-traverse to global termination.  Returns the simulated
@@ -1064,9 +1035,7 @@ let prof_evacuate = Simstats.Hostprof.register "gc.evacuate"
 
 let run t =
   let prof_prev = Simstats.Hostprof.enter prof_evacuate in
-  (match t.schedule with
-  | None -> run_min_clock t
-  | Some s -> run_scheduled t s);
+  traverse t;
   Simstats.Hostprof.leave prof_prev;
   (* One "evacuate" span per GC-thread lane: that thread's whole
      copy-and-traverse window (spinning included), so Perfetto shows the

@@ -24,7 +24,12 @@
 
     Whatever a schedule decides, the surviving object graph must match
     the oracle collector — that is precisely what [lib/simcheck] fuzzes.
-    Timing and statistics may (and do) differ between schedules. *)
+    Timing and statistics may (and do) differ between schedules.  Only
+    [crash] and [tamper] are deliberately destructive: they test the
+    crash-recovery oracle. *)
+
+(** Deliberate flush-protocol violations (see the interface). *)
+type tamper = Tamper_early_ready | Tamper_drop_flush
 
 type t = {
   pick_thread : runnable:int array -> int;
@@ -51,6 +56,9 @@ type t = {
           number and never consults any PRNG here, so wrapping a
           schedule with a crash predicate does not perturb the
           decision stream of the underlying schedule. *)
+  tamper : tamper option;
+      (** [Some]: inject this violation once per pause (a deliberate
+          engine bug the recovery oracle must catch) *)
 }
 
 (** The identity schedule: lowest-id runnable thread, lowest-id victim,
@@ -64,4 +72,5 @@ let default =
     force_hm_fallback = (fun ~tid:_ -> false);
     defer_async_flush = (fun ~tid:_ -> false);
     crash = (fun ~step:_ -> false);
+    tamper = None;
   }

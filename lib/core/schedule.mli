@@ -5,7 +5,19 @@
     asynchronous-flush readiness — with its own, restricted to
     semantics-preserving alternatives.  Used by [lib/simcheck] to fuzz
     GC-thread interleavings; without an installed schedule the engine
-    keeps its deterministic min-clock policy. *)
+    keeps its deterministic min-clock policy.  The schedule is the
+    engine's only injection seam: crash points and the mutation-testing
+    [tamper] ride on it too. *)
+
+(** Deliberate flush-protocol violations for mutation-testing the
+    recovery oracle; injected at most once per pause. *)
+type tamper =
+  | Tamper_early_ready
+      (** answer one Keep decision of the §4.2 readiness protocol with
+          Ready: retire and flush a pair while pending reference updates
+          can still target it *)
+  | Tamper_drop_flush
+      (** report a flush complete without writing the bytes to NVM *)
 
 type t = {
   pick_thread : runnable:int array -> int;
@@ -27,8 +39,11 @@ type t = {
           crash-consistency fuzzer; consulted with a counter and no
           PRNG, so crash wrappers leave the underlying schedule's
           decision stream untouched *)
+  tamper : tamper option;
+      (** [Some]: inject this flush-protocol violation once per pause
+          (mutation-testing the recovery oracle) *)
 }
 
 val default : t
-(** Lowest-id choices, nothing deferred or forced.  Interleaves
+(** Lowest-id choices, nothing deferred, forced or tampered.  Interleaves
     differently from the min-clock engine but must agree semantically. *)

@@ -22,17 +22,15 @@ type t = {
   memory : Memsim.Memory.t;
   config : Gc_config.t;
   schedule : Schedule.t option;
-      (** simulation-testing seam handed to every pause's evacuation
-          engine; [None] = the deterministic min-clock policy *)
-  tamper : Evacuation.tamper option;
-      (** mutation-testing seam: a deliberate flush-protocol violation
-          injected (once) into every pause's evacuation engine *)
+      (** simulation-testing seam (schedule, crash points, tamper)
+          handed to every pause's evacuation engine; [None] = the
+          deterministic min-clock policy *)
   header_map : Header_map.t option;
       (** allocated once and reused across pauses, as in the paper *)
   totals : Gc_stats.totals;
 }
 
-let create ?schedule ?tamper ~heap ~memory (config : Gc_config.t) =
+let create ?schedule ~heap ~memory (config : Gc_config.t) =
   let header_map =
     if Gc_config.header_map_active config then
       Some
@@ -46,7 +44,6 @@ let create ?schedule ?tamper ~heap ~memory (config : Gc_config.t) =
     memory;
     config;
     schedule;
-    tamper;
     header_map;
     totals = Gc_stats.create_totals ();
   }
@@ -211,7 +208,7 @@ let collect t ~now_ns =
     else None
   in
   let evac =
-    Evacuation.create ?tamper:t.tamper ~schedule:t.schedule ~heap:t.heap
+    Evacuation.create ~schedule:t.schedule ~heap:t.heap
       ~memory:t.memory ~config:t.config ~header_map:t.header_map ~write_cache
       ~start_ns:now_ns ()
   in

@@ -101,8 +101,8 @@ let crash_variant_names = [ "g1-wc-async"; "g1-all"; "ps-all" ]
    can arm to mutation-test its own oracle. *)
 let tampers =
   [
-    ("early-ready", Nvmgc.Evacuation.Tamper_early_ready);
-    ("drop-flush", Nvmgc.Evacuation.Tamper_drop_flush);
+    ("early-ready", Nvmgc.Schedule.Tamper_early_ready);
+    ("drop-flush", Nvmgc.Schedule.Tamper_drop_flush);
   ]
 
 let select_variants = function
@@ -282,11 +282,15 @@ let shrink_failure ?tamper ~variants ~budget (case : case) (variant, messages)
 
 (* The schedule every crash run executes under: sched_seed 0 wraps the
    identity schedule (the crash seam only exists on the scheduled
-   engine), any other seed wraps its {!Sched.of_seed} stream.  Crash
-   wrappers consume no PRNG, so the probe and every crashing run of a
-   case see identical decision streams. *)
-let crash_base_schedule sched_seed =
-  if sched_seed = 0 then Nvmgc.Schedule.default else Sched.of_seed sched_seed
+   engine), any other seed wraps its {!Sched.of_seed} stream; [tamper]
+   arms the schedule's one-shot protocol mutation.  Crash wrappers
+   consume no PRNG, so the probe and every crashing run of a case see
+   identical decision streams. *)
+let crash_base_schedule ?tamper sched_seed =
+  let base =
+    if sched_seed = 0 then Nvmgc.Schedule.default else Sched.of_seed sched_seed
+  in
+  { base with Nvmgc.Schedule.tamper }
 
 (* Probe run: count the case's crash points under a never-firing crash
    wrapper.  Completes a full verified pause, so it doubles as the
@@ -295,11 +299,10 @@ let probe_crash_points ?tamper ~spec ~threads ~sched_seed (v : variant) =
   let inst = Spec.instantiate spec in
   let memory = Memsim.Memory.create Memsim.Memory.default_config in
   let config = v.make ~threads in
-  let schedule, count = Sched.counting (crash_base_schedule sched_seed) in
-  let gc =
-    Nvmgc.Young_gc.create ~schedule ?tamper ~heap:inst.Spec.heap ~memory
-      config
+  let schedule, count =
+    Sched.counting (crash_base_schedule ?tamper sched_seed)
   in
+  let gc = Nvmgc.Young_gc.create ~schedule ~heap:inst.Spec.heap ~memory config in
   match Nvmgc.Young_gc.collect gc ~now_ns:0.0 with
   | pause -> Ok (pause, count ())
   | exception Verify.Hooks.Verification_failure (desc, msgs) ->
@@ -317,12 +320,11 @@ let run_crash_variant ?tamper ~spec ~threads ~sched_seed ~crash_step
   let memory = Memsim.Memory.create Memsim.Memory.default_config in
   Memsim.Memory.set_durability_tracking memory true;
   let config = v.make ~threads in
-  let schedule = Sched.with_crash ~crash_step (crash_base_schedule sched_seed) in
-  let pre = G.capture inst.Spec.heap in
-  let gc =
-    Nvmgc.Young_gc.create ~schedule ?tamper ~heap:inst.Spec.heap ~memory
-      config
+  let schedule =
+    Sched.with_crash ~crash_step (crash_base_schedule ?tamper sched_seed)
   in
+  let pre = G.capture inst.Spec.heap in
+  let gc = Nvmgc.Young_gc.create ~schedule ~heap:inst.Spec.heap ~memory config in
   match Nvmgc.Young_gc.collect gc ~now_ns:0.0 with
   | (_ : Nvmgc.Gc_stats.pause) -> Ok ()
   | exception Nvmgc.Evacuation.Crashed st ->

@@ -13,7 +13,7 @@ val crash_variant_names : string list
     asynchronous flush pipeline, whose durability reports the recovery
     oracle checks. *)
 
-val tampers : (string * Nvmgc.Evacuation.tamper) list
+val tampers : (string * Nvmgc.Schedule.tamper) list
 (** CLI spelling of the one-shot protocol mutations ([--tamper]). *)
 
 type case = {
@@ -135,7 +135,7 @@ val run_crash :
   ?time_budget_s:float ->
   ?variants:string list ->
   ?crash_step:int ->
-  ?tamper:Nvmgc.Evacuation.tamper ->
+  ?tamper:Nvmgc.Schedule.tamper ->
   cases:int ->
   seed:int ->
   unit ->
@@ -148,8 +148,8 @@ val run_crash :
     after the last flush is reported durable), and each frozen image is
     held to the {!Recovery} obligations.  [crash_step] forces a single
     crash at that step instead (the replay path for printed
-    reproducers).  [tamper] arms a one-shot protocol mutation
-    ({!Nvmgc.Evacuation.tamper}) for mutation-testing the oracle.
+    reproducers).  [tamper] sets the crash schedule's one-shot protocol
+    mutation ({!Nvmgc.Schedule.t}'s [tamper]) to mutation-test the oracle.
     Deterministic at every job count, like {!run}: seeds and crash
     steps are pure functions of [seed], and the report is rebuilt in
     case order.  Failures shrink over schedule -> threads -> crash step
@@ -161,7 +161,7 @@ val replay_crash :
   ?shrink_budget:int ->
   ?variants:string list ->
   ?crash_step:int ->
-  ?tamper:Nvmgc.Evacuation.tamper ->
+  ?tamper:Nvmgc.Schedule.tamper ->
   heap_seed:int ->
   sched_seed:int ->
   unit ->

@@ -31,6 +31,7 @@ let of_seed seed =
     defer_async_flush =
       (fun ~tid:_ -> Simstats.Prng.float rng 1.0 < p_defer_flush);
     crash = (fun ~step:_ -> false);
+    tamper = None;
   }
 
 (* Crash wrappers replace only the [crash] decision; the base schedule's

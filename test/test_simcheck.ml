@@ -49,33 +49,98 @@ let test_graph_diff_detects_corruption () =
 (* ------------------------------------------------------------------ *)
 (* Schedule seam                                                       *)
 
-(* Any schedule seed must preserve semantics: same surviving graph as the
-   min-clock engine, with the verifier and oracle hooks armed. *)
-let test_schedules_semantics_preserving () =
-  let case = Fuzz.derive_case ~index:0 ~heap_seed:1234 ~sched_seed:0
-      ~max_objects:30 in
-  let v = variant "g1-all" in
-  let reference =
-    match
-      Fuzz.run_variant ~spec:case.Fuzz.spec ~threads:case.Fuzz.threads
-        ~sched_seed:0 v
-    with
-    | Ok (g, _) -> g
-    | Error msgs -> Alcotest.failf "min-clock run failed: %s" (String.concat "; " msgs)
+(* The identity schedule the crash campaign runs for schedule seed 0, and
+   the first seeded streams the fuzz campaign draws — built fresh per run,
+   since a seeded schedule carries its PRNG state. *)
+let schedules =
+  ("identity", fun () -> Nvmgc.Schedule.default)
+  :: List.init 5 (fun i ->
+         ( Printf.sprintf "schedule %d" (i + 1),
+           fun () -> Simcheck.Sched.of_seed (i + 1) ))
+
+(* Collect one fuzz case under [schedule] ([None] = min-clock) with the
+   verifier and oracle hooks armed; returns the post-pause live graph. *)
+let graph_under ?schedule ~spec ~threads (v : Fuzz.variant) =
+  let inst = Spec.instantiate spec in
+  let memory = Memsim.Memory.create Memsim.Memory.default_config in
+  let gc =
+    Nvmgc.Young_gc.create ?schedule ~heap:inst.Spec.heap ~memory
+      (v.make ~threads)
   in
-  for sched_seed = 1 to 5 do
-    match
-      Fuzz.run_variant ~spec:case.Fuzz.spec ~threads:case.Fuzz.threads
-        ~sched_seed v
-    with
-    | Ok (g, _) ->
-        check_bool
-          (Printf.sprintf "schedule %d agrees with min-clock" sched_seed)
-          true (G.equal reference g)
-    | Error msgs ->
-        Alcotest.failf "schedule %d failed verification: %s" sched_seed
-          (String.concat "; " msgs)
+  ignore (Nvmgc.Young_gc.collect gc ~now_ns:0.0 : Nvmgc.Gc_stats.pause);
+  G.capture inst.Spec.heap
+
+(* Differential oracle: every schedule must preserve semantics — the same
+   surviving graph as the min-clock engine, with the verifier and oracle
+   hooks armed — over ten heap shapes and the whole configuration matrix. *)
+let test_schedules_semantics_preserving () =
+  for heap_seed = 1230 to 1239 do
+    let case =
+      Fuzz.derive_case ~index:0 ~heap_seed ~sched_seed:0 ~max_objects:30
+    in
+    let spec = case.Fuzz.spec and threads = max 2 case.Fuzz.threads in
+    List.iter
+      (fun (v : Fuzz.variant) ->
+        let reference = graph_under ~spec ~threads v in
+        List.iter
+          (fun (name, make) ->
+            check_bool
+              (Printf.sprintf "heap %d, %s, %s agrees with min-clock" heap_seed
+                 v.name name)
+              true
+              (G.equal reference
+                 (graph_under ~schedule:(make ()) ~spec ~threads v)))
+          schedules)
+      Fuzz.all_variants
   done
+
+(* The evacuation loop's termination invariant, on a chain-heavy heap
+   where min-clock threads must spin waiting for unstealable chain work:
+   a schedule only picks threads that can pop or steal, so no scheduled
+   lane ever enters the spin branch, and the pause still completes. *)
+let test_scheduled_lanes_never_spin () =
+  let profile = Workloads.Apps.renaissance ~name:"chain-heavy" ~chain:0.9 () in
+  let lane_spins ?schedule () =
+    let tracer = Nvmtrace.Tracer.create () in
+    Nvmtrace.Hooks.set_tracer (Some tracer);
+    let result =
+      Fun.protect
+        ~finally:(fun () -> Nvmtrace.Hooks.set_tracer None)
+        (fun () ->
+          let heap =
+            Simheap.Heap.create (Workloads.App_profile.heap_config profile)
+          in
+          let memory =
+            Memsim.Memory.create (Workloads.App_profile.memory_config profile)
+          in
+          let config =
+            Workloads.Apps.gc_config profile ~preset:`All ~threads:8
+          in
+          let gc = Nvmgc.Young_gc.create ?schedule ~heap ~memory config in
+          Workloads.Mutator.run ~heap ~memory ~gc ~profile ~seed:42 ~gcs:1)
+    in
+    check_int "the pause completes" 1
+      (List.length result.Workloads.Mutator.pauses);
+    List.filter_map
+      (function
+        | Nvmtrace.Tracer.Span { s_name = "evacuate"; s_args; _ } -> (
+            match List.assoc_opt "spin_ns" s_args with
+            | Some (Nvmtrace.Tracer.Float ns) -> Some ns
+            | _ -> Alcotest.fail "evacuate span without a float spin_ns")
+        | _ -> None)
+      (Nvmtrace.Tracer.events tracer)
+  in
+  check_bool "min-clock lanes spin on the chains" true
+    (List.exists (fun ns -> ns > 0.0) (lane_spins ()));
+  List.iter
+    (fun (name, make) ->
+      let spins = lane_spins ~schedule:(make ()) () in
+      check_bool (name ^ ": lanes traced") true (spins <> []);
+      List.iter
+        (fun ns ->
+          Alcotest.(check (float 0.0)) (name ^ ": lane spin_ns") 0.0 ns)
+        spins)
+    schedules
 
 (* The seam must actually perturb execution, not just rename it: some
    schedule produces a different simulated pause than the min-clock
@@ -279,7 +344,7 @@ let test_crash_campaign_green_and_deterministic () =
    repro-file tests below (the shrinker makes it the expensive part). *)
 let tampered_report =
   lazy
-    (Fuzz.run_crash ~cases:3 ~seed:7 ~tamper:Nvmgc.Evacuation.Tamper_drop_flush
+    (Fuzz.run_crash ~cases:3 ~seed:7 ~tamper:Nvmgc.Schedule.Tamper_drop_flush
        ())
 
 let test_crash_tamper_caught_and_shrunk () =
@@ -309,7 +374,7 @@ let test_crash_tamper_caught_and_shrunk () =
   (* The protocol-decision mutation (answer a Keep with Ready) is caught
      by the same oracle. *)
   let early =
-    Fuzz.run_crash ~cases:3 ~seed:7 ~tamper:Nvmgc.Evacuation.Tamper_early_ready
+    Fuzz.run_crash ~cases:3 ~seed:7 ~tamper:Nvmgc.Schedule.Tamper_early_ready
       ()
   in
   check_bool "early-ready campaign fails" false (Fuzz.ok early)
@@ -322,7 +387,7 @@ let test_crash_replay_reproduces () =
       ~sched_seed:f.Fuzz.sched_seed
       ~crash_step:(Option.get f.Fuzz.crash_step)
       ~variants:[ f.Fuzz.variant ]
-      ~tamper:Nvmgc.Evacuation.Tamper_drop_flush ()
+      ~tamper:Nvmgc.Schedule.Tamper_drop_flush ()
   in
   check_bool "replay reproduces the failure" false (Fuzz.ok rr);
   let rf = List.hd rr.Fuzz.failures in
@@ -365,6 +430,8 @@ let () =
             test_schedules_semantics_preserving;
           Alcotest.test_case "perturbs timing" `Quick
             test_schedules_perturb_timing;
+          Alcotest.test_case "scheduled lanes never spin" `Quick
+            test_scheduled_lanes_never_spin;
         ] );
       ( "fuzz",
         [
