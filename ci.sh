@@ -70,12 +70,13 @@ if [ "$d_off" != "$d_rel" ] || [ "$d_off" != "$d_rel8" ]; then
 fi
 
 # Workload pins: each benchmark workload's simulated output at seed 42
-# must match its digest in perfbench/pins.txt.  fuzz-crash, the only
-# workload that runs the evacuation loop under a schedule, is also
-# checked at the held-out seed 13.  --pin prints a host fingerprint
-# line, then the pin line.  This leg only reads perfbench/.
+# must match its digest in perfbench/pins.txt.  Three workloads are also
+# checked at the held-out seed 13: fuzz-crash, the only one that runs the
+# evacuation loop under a schedule, and the two sweeps whose cells share
+# graph shapes (grid-verified, scaling-sweep).  --pin prints a host
+# fingerprint line, then the pin line.  This leg only reads perfbench/.
 for pin in grid-verified:42 scaling-sweep:42 long-pauses:42 fuzz-crash:42 \
-  fuzz-crash:13; do
+  fuzz-crash:13 scaling-sweep:13 grid-verified:13; do
   w=${pin%:*}
   s=${pin#*:}
   got=$(dune exec --profile release perfbench/bin/nvmgc_bench.exe -- \

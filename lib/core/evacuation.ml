@@ -188,6 +188,9 @@ type t = {
   mutable post_flush_writes : (int * int) list;
       (** (region idx, addr) of slot updates into flushed shadows *)
   mutable tamper_armed : bool;  (** schedule's [tamper] not yet fired *)
+  tid_lists : int array array;
+      (** the candidate arrays handed to a schedule's picks, by length,
+          built on first use: a scheduled step fills one in place *)
 }
 
 (* Placeholder for the destination-scratch region field before the first
@@ -258,6 +261,7 @@ let create ~schedule ~heap ~memory ~(config : Gc_config.t) ~header_map
       flushed_shadows = Hashtbl.create 8;
       post_flush_writes = [];
       tamper_armed = true;
+      tid_lists = Array.make (config.Gc_config.threads + 1) [||];
     }
   in
   if Nvmtrace.Hooks.tracing () then begin
@@ -584,7 +588,7 @@ let alloc_destination t th size =
   if not (cacheable && alloc_cached t th size) then begin
     alloc_direct t th size;
     match t.write_cache with
-    | Some wc -> Write_cache.record_direct_copy wc size
+    | Some _ -> Write_cache.record_direct_copy size
     | None -> ()
   end
 
@@ -873,38 +877,60 @@ let rec min_clock_go threads n i best =
 
 let min_clock_thread t = min_clock_go t.threads (Array.length t.threads) 0 (-1)
 
+(* The length-[n] candidate array for a schedule's pick; the caller
+   fills it before the pick reads it. *)
+let tid_list t n =
+  let a = t.tid_lists.(n) in
+  if Array.length a = n then a
+  else begin
+    let a = Array.make n 0 in
+    t.tid_lists.(n) <- a;
+    a
+  end
+
 (* Steal from the victim with the largest stack, but only if it has at
    least two items: single-item stacks (pointer chains) stay with their
    owner, which is what makes chain-shaped graphs serialize.  A schedule
-   picks any eligible victim instead. *)
-let pick_victim_default t thief =
-  let best = ref (-1) in
-  let best_len = ref 1 in
-  Array.iteri
-    (fun i th ->
-      if th.tid <> thief.tid then begin
-        let len = Work_stack.length th.stack in
-        if len >= 2 && len > !best_len then begin
-          best := i;
-          best_len := len
-        end
-      end)
-    t.threads;
-  if !best < 0 then None else Some t.threads.(!best)
+   picks any eligible victim instead.  Both return a thread index, -1
+   for none; like [min_clock_go], the scan is an int-only recursion. *)
+let rec largest_victim threads thief n i best best_len =
+  if i >= n then best
+  else begin
+    let th = threads.(i) in
+    let len = Work_stack.length th.stack in
+    if th.tid <> thief && len >= 2 && len > best_len then
+      largest_victim threads thief n (i + 1) i len
+    else largest_victim threads thief n (i + 1) best best_len
+  end
 
+let pick_victim_default t thief =
+  largest_victim t.threads thief.tid (Array.length t.threads) 0 (-1) 1
+
+let is_victim thief th =
+  th.tid <> thief.tid && Work_stack.length th.stack >= 2
+
+(* The candidate arrays below are counted, then filled, by [for] loops:
+   a closure over the counters would allocate it and them per step. *)
 let pick_victim_scheduled t (s : Schedule.t) thief =
-  let victims = ref [] in
-  for i = Array.length t.threads - 1 downto 0 do
-    let th = t.threads.(i) in
-    if th.tid <> thief.tid && Work_stack.length th.stack >= 2 then
-      victims := th.tid :: !victims
+  let threads = t.threads in
+  let n = ref 0 in
+  for i = 0 to Array.length threads - 1 do
+    if is_victim thief threads.(i) then incr n
   done;
-  match Array.of_list !victims with
-  | [||] -> None
-  | victims ->
-      let n = Array.length victims in
-      let i = s.Schedule.pick_victim ~thief:thief.tid ~victims in
-      Some t.threads.(victims.(((i mod n) + n) mod n))
+  let n = !n in
+  if n = 0 then -1
+  else begin
+    let victims = tid_list t n in
+    let k = ref 0 in
+    for i = 0 to Array.length threads - 1 do
+      if is_victim thief threads.(i) then begin
+        victims.(!k) <- threads.(i).tid;
+        incr k
+      end
+    done;
+    let i = s.Schedule.pick_victim ~thief:thief.tid ~victims in
+    victims.(((i mod n) + n) mod n)
+  end
 
 let try_steal t thief =
   let victim =
@@ -912,39 +938,40 @@ let try_steal t thief =
     | None -> pick_victim_default t thief
     | Some s -> pick_victim_scheduled t s thief
   in
-  match victim with
-  | None -> false
-  | Some victim ->
-      charge_cpu thief steal_cost_ns;
-      let chunk =
-        max 1
-          (min t.config.Gc_config.steal_chunk
-             (Work_stack.length victim.stack / 2))
-      in
-      (* Sync the thief's clock before the move: the victim's
-         last-push-clock is unchanged by stealing, so this matches the
-         old sync-after-steal order while letting [steal_into] stamp the
-         thief's pushes with the synced clock. *)
-      thief.clock.(0) <-
-        Float.max thief.clock.(0) (Work_stack.last_push_clock victim.stack);
-      let thief_was_empty = Work_stack.is_empty thief.stack in
-      let moved =
-        Work_stack.steal_into victim.stack ~thief:thief.stack ~chunk
-          ~clock:thief.clock.(0) ~mark_home:t.mark_stolen
-      in
-      if Work_stack.length victim.stack = 0 then t.busy <- t.busy - 1;
-      if moved > 0 && thief_was_empty then t.busy <- t.busy + 1;
-      thief.steals <- thief.steals + 1;
-      if Nvmtrace.Hooks.tracing () then
-        Nvmtrace.Hooks.instant ~lane:(lane thief) ~name:"steal"
-          ~ts_ns:thief.clock.(0)
-          ~args:
-            [
-              ("victim", Nvmtrace.Tracer.Int victim.tid);
-              ("items", Nvmtrace.Tracer.Int moved);
-            ]
-          ();
-      moved > 0
+  if victim < 0 then false
+  else begin
+    let victim = t.threads.(victim) in
+    charge_cpu thief steal_cost_ns;
+    let chunk =
+      max 1
+        (min t.config.Gc_config.steal_chunk
+           (Work_stack.length victim.stack / 2))
+    in
+    (* Sync the thief's clock before the move: the victim's
+       last-push-clock is unchanged by stealing, so this matches the
+       old sync-after-steal order while letting [steal_into] stamp the
+       thief's pushes with the synced clock. *)
+    thief.clock.(0) <-
+      Float.max thief.clock.(0) (Work_stack.last_push_clock victim.stack);
+    let thief_was_empty = Work_stack.is_empty thief.stack in
+    let moved =
+      Work_stack.steal_into victim.stack ~thief:thief.stack ~chunk
+        ~clock:thief.clock.(0) ~mark_home:t.mark_stolen
+    in
+    if Work_stack.length victim.stack = 0 then t.busy <- t.busy - 1;
+    if moved > 0 && thief_was_empty then t.busy <- t.busy + 1;
+    thief.steals <- thief.steals + 1;
+    if Nvmtrace.Hooks.tracing () then
+      Nvmtrace.Hooks.instant ~lane:(lane thief) ~name:"steal"
+        ~ts_ns:thief.clock.(0)
+        ~args:
+          [
+            ("victim", Nvmtrace.Tracer.Int victim.tid);
+            ("items", Nvmtrace.Tracer.Int moved);
+          ]
+        ();
+    moved > 0
+  end
 
 let all_stacks_empty t =
   Array.for_all (fun th -> Work_stack.is_empty th.stack) t.threads
@@ -968,17 +995,27 @@ let charge_remset_scan t ~tid ~bytes =
    some thread holding >= 2 items (steal; an empty-stacked thief is never
    that holder).  Every choice from this set pops or steals, so adversarial
    schedules cannot starve a scheduled traversal. *)
+let can_step stealable th =
+  (not th.terminated) && (stealable || not (Work_stack.is_empty th.stack))
+
 let runnable_tids t =
+  let threads = t.threads in
   let stealable =
-    Array.exists (fun v -> Work_stack.length v.stack >= 2) t.threads
+    Array.exists (fun v -> Work_stack.length v.stack >= 2) threads
   in
-  let ids = ref [] in
-  for i = Array.length t.threads - 1 downto 0 do
-    let th = t.threads.(i) in
-    if (not th.terminated) && (stealable || not (Work_stack.is_empty th.stack))
-    then ids := th.tid :: !ids
+  let n = ref 0 in
+  for i = 0 to Array.length threads - 1 do
+    if can_step stealable threads.(i) then incr n
   done;
-  Array.of_list !ids
+  let ids = tid_list t !n in
+  let k = ref 0 in
+  for i = 0 to Array.length threads - 1 do
+    if can_step stealable threads.(i) then begin
+      ids.(!k) <- threads.(i).tid;
+      incr k
+    end
+  done;
+  ids
 
 (* The loop's one policy switch: the thread that steps next, or -1 when
    nobody can.  Min-clock weighs every non-terminated thread, spinners

@@ -97,8 +97,6 @@ let verify_active t =
   | Some _ -> true
   | None -> t.verify
 
-let flush_mode_name = function Sync -> "sync" | Async -> "async"
-
 let collector_name = function G1 -> "g1" | Parallel_scavenge -> "ps"
 
 let describe t =

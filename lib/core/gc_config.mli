@@ -52,6 +52,5 @@ val verify_active : t -> bool
     environment variable overrides the config field: "0" / "false" /
     "off" forces it off, any other non-empty value forces it on. *)
 
-val flush_mode_name : flush_mode -> string
 val collector_name : collector -> string
 val describe : t -> string

@@ -42,14 +42,6 @@ let nvm_bandwidth_mbps p =
     bytes /. 1e6 /. (p.pause_ns /. 1e9)
   end
 
-let nvm_read_bandwidth_mbps p =
-  if p.pause_ns <= 0.0 then 0.0
-  else p.traffic.Memsim.Memory.nvm_read_bytes /. 1e6 /. (p.pause_ns /. 1e9)
-
-let nvm_write_bandwidth_mbps p =
-  if p.pause_ns <= 0.0 then 0.0
-  else p.traffic.Memsim.Memory.nvm_write_bytes /. 1e6 /. (p.pause_ns /. 1e9)
-
 (** Accumulated statistics over a run (a sequence of pauses). *)
 type totals = {
   mutable pauses : int;

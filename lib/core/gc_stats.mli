@@ -27,9 +27,6 @@ val pause_ms : pause -> float
 val nvm_bandwidth_mbps : pause -> float
 (** Average NVM bandwidth consumed during the pause, MB/s. *)
 
-val nvm_read_bandwidth_mbps : pause -> float
-val nvm_write_bandwidth_mbps : pause -> float
-
 type totals = {
   mutable pauses : int;
   mutable total_pause_ns : float;

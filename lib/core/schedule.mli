@@ -22,10 +22,11 @@ type tamper =
 type t = {
   pick_thread : runnable:int array -> int;
       (** index into [runnable] (thread ids able to pop or steal,
-          ascending); out-of-range values are clamped by the engine *)
+          ascending); out-of-range values are clamped by the engine.
+          The engine reuses the array: it is valid only during the call. *)
   pick_victim : thief:int -> victims:int array -> int;
       (** index into [victims] (thread ids with >= 2 stacked items,
-          ascending, excluding the thief); clamped likewise *)
+          ascending, excluding the thief); clamped and reused likewise *)
   defer_region_grab : tid:int -> bool;
       (** copy directly to NVM instead of taking a fresh cache pair *)
   force_hm_fallback : tid:int -> bool;

@@ -33,8 +33,6 @@ type t = {
   mutable allocated_bytes : int;
   mutable exhausted : bool;
   pairs : pair Simstats.Vec.t;
-  mutable direct_bytes : int;
-      (** bytes copied straight to NVM because the cache was full *)
 }
 
 let dummy_pair =
@@ -51,7 +49,6 @@ let create heap ~limit_bytes =
     allocated_bytes = 0;
     exhausted = false;
     pairs = Simstats.Vec.create dummy_pair;
-    direct_bytes = 0;
   }
 
 let limit_reached t =
@@ -115,9 +112,8 @@ let alloc_in_pair pair size =
 
 let mark_filled pair = pair.filled <- true
 
-let record_direct_copy t bytes =
-  Nvmtrace.Hooks.count "write_cache.direct_bytes" ~by:bytes;
-  t.direct_bytes <- t.direct_bytes + bytes
+let record_direct_copy bytes =
+  Nvmtrace.Hooks.count "write_cache.direct_bytes" ~by:bytes
 
 (** Un-cache every object of a pair after its bytes reach NVM, and release
     the DRAM region.  Memory-cost accounting is the caller's business. *)
@@ -134,7 +130,6 @@ let complete_flush t pair =
 
 let pairs t = t.pairs
 let allocated_bytes t = t.allocated_bytes
-let direct_bytes t = t.direct_bytes
 
 let unflushed_pairs t =
   Simstats.Vec.fold_left

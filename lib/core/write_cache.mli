@@ -33,7 +33,8 @@ val alloc_addr : pair -> int -> int
     object, so the failure case must not box. *)
 
 val mark_filled : pair -> unit
-val record_direct_copy : t -> int -> unit
+val record_direct_copy : int -> unit
+(** Count bytes copied straight to NVM because the cache was full. *)
 
 val complete_flush : t -> pair -> unit
 (** Un-cache the pair's objects (their bytes are on NVM now) and release
@@ -41,6 +42,5 @@ val complete_flush : t -> pair -> unit
 
 val pairs : t -> pair Simstats.Vec.t
 val allocated_bytes : t -> int
-val direct_bytes : t -> int
 val unflushed_pairs : t -> pair list
 val limit_reached : t -> bool

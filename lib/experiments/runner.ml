@@ -187,6 +187,7 @@ let parallel_map options ~f items =
        domain (see Verify.Hooks). *)
     if options.verify then Verify.Hooks.ensure_installed ();
     let task i =
+      Workloads.Mutator.share_shapes ();
       let tracer =
         if want_tracer then Some (Nvmtrace.Tracer.create ()) else None
       in
@@ -214,9 +215,13 @@ let parallel_map options ~f items =
       in
       (value, tracer, metrics, recorder, console)
     in
+    (* Each task arms its worker's shape memo, so the cells of one app
+       share its shapes; nothing outlives the sweep (spawned workers end
+       with the pool, and the submitting domain drops its memo). *)
     let results =
-      Exec.Pool.with_pool ~domains:(max 1 options.jobs) (fun pool ->
-          Exec.Pool.run pool task n)
+      Fun.protect ~finally:Workloads.Mutator.drop_shapes (fun () ->
+          Exec.Pool.with_pool ~domains:(max 1 options.jobs) (fun pool ->
+              Exec.Pool.run pool task n))
     in
     Array.iter
       (fun (_, tracer, metrics, recorder, console) ->

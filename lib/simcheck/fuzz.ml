@@ -134,7 +134,7 @@ let derive_case ~index ~heap_seed ~sched_seed ~max_objects =
   let spec = Spec.generate rng ~max_objects in
   { index; heap_seed; sched_seed; threads; spec }
 
-let run_variant ?tamper ~spec ~threads ~sched_seed (v : variant) =
+let run_variant ?corrupt ~spec ~threads ~sched_seed (v : variant) =
   let inst = Spec.instantiate spec in
   let memory = Memsim.Memory.create Memsim.Memory.default_config in
   let config = v.make ~threads in
@@ -149,7 +149,7 @@ let run_variant ?tamper ~spec ~threads ~sched_seed (v : variant) =
       (* Mutation-testing seam: corrupt the post-pause heap of selected
          variants before the graph capture, so tests can inject a
          deterministic differential failure. *)
-      (match tamper with Some f -> f v.name inst | None -> ());
+      (match corrupt with Some f -> f v.name inst | None -> ());
       Ok (G.capture inst.Spec.heap, pause)
   | exception Verify.Hooks.Verification_failure (desc, msgs) ->
       Error (Printf.sprintf "verification failure under %s" desc :: msgs)
@@ -158,10 +158,10 @@ let run_variant ?tamper ~spec ~threads ~sched_seed (v : variant) =
 
 (* Run one case through every variant; the first variant's live graph is
    the reference the others must reproduce. *)
-let run_case ?tamper ~variants ~spec ~threads ~sched_seed () =
+let run_case ?corrupt ~variants ~spec ~threads ~sched_seed () =
   let results =
     List.map
-      (fun v -> (v, run_variant ?tamper ~spec ~threads ~sched_seed v))
+      (fun v -> (v, run_variant ?corrupt ~spec ~threads ~sched_seed v))
       variants
   in
   let reference = ref None in
@@ -216,7 +216,7 @@ type failure = {
    ring dump: the memory-system history that accompanies the shrunk
    reproducer.  Recording is pure observation, so the re-run fails
    identically; the private install is restored even if it raises. *)
-let capture_flight ?tamper ~variants ~spec ~threads ~sched_seed () =
+let capture_flight ?corrupt ~variants ~spec ~threads ~sched_seed () =
   let saved = Nvmtrace.Hooks.recorder () in
   let recorder = Nvmtrace.Recorder.create () in
   Nvmtrace.Hooks.set_recorder (Some recorder);
@@ -224,15 +224,15 @@ let capture_flight ?tamper ~variants ~spec ~threads ~sched_seed () =
     ~finally:(fun () -> Nvmtrace.Hooks.set_recorder saved)
     (fun () ->
       ignore
-        (run_case ?tamper ~variants ~spec ~threads ~sched_seed ()
+        (run_case ?corrupt ~variants ~spec ~threads ~sched_seed ()
           : ((variant * _) list) * _);
       Nvmtrace.Recorder.flight_dump recorder)
 
-let shrink_failure ?tamper ~variants ~budget (case : case) (variant, messages)
+let shrink_failure ?corrupt ~variants ~budget (case : case) (variant, messages)
     =
   let fails spec threads sched_seed =
     Option.is_some
-      (snd (run_case ?tamper ~variants ~spec ~threads ~sched_seed ()))
+      (snd (run_case ?corrupt ~variants ~spec ~threads ~sched_seed ()))
   in
   let threads = ref case.threads and sched = ref case.sched_seed in
   (* Schedule and thread count first: a reproducer that fails under the
@@ -250,14 +250,14 @@ let shrink_failure ?tamper ~variants ~budget (case : case) (variant, messages)
   in
   let shrunk_variant, shrunk_messages =
     match
-      snd (run_case ?tamper ~variants ~spec:shrunk_spec ~threads:!threads
+      snd (run_case ?corrupt ~variants ~spec:shrunk_spec ~threads:!threads
              ~sched_seed:!sched ())
     with
     | Some (v, m) -> (v, m)
     | None -> (variant, messages)
   in
   let flight_dump =
-    capture_flight ?tamper ~variants ~spec:shrunk_spec ~threads:!threads
+    capture_flight ?corrupt ~variants ~spec:shrunk_spec ~threads:!threads
       ~sched_seed:!sched ()
   in
   {
@@ -513,7 +513,7 @@ let effective_jobs ~cases ~variants ~max_objects jobs =
   if units < serial_unit_threshold then 1 else max 1 jobs
 
 let run ?(jobs = 1) ?(max_objects = 40) ?(shrink_budget = 400)
-    ?(time_budget_s = infinity) ?(variants = []) ?tamper ~cases ~seed () =
+    ?(time_budget_s = infinity) ?(variants = []) ?corrupt ~cases ~seed () =
   (* Process-global hook registration happens before any worker domain
      spawns (install-before-spawn). *)
   Verify.Hooks.ensure_installed ();
@@ -548,7 +548,7 @@ let run ?(jobs = 1) ?(max_objects = 40) ?(shrink_budget = 400)
         derive_case ~index ~heap_seed ~sched_seed ~max_objects
       in
       let results, failure =
-        run_case ?tamper ~variants ~spec:case.spec ~threads:case.threads
+        run_case ?corrupt ~variants ~spec:case.spec ~threads:case.threads
           ~sched_seed ()
       in
       let pauses =
@@ -561,7 +561,7 @@ let run ?(jobs = 1) ?(max_objects = 40) ?(shrink_budget = 400)
         Option.map
           (fun f ->
             let budget = ref shrink_budget in
-            shrink_failure ?tamper ~variants ~budget case f)
+            shrink_failure ?corrupt ~variants ~budget case f)
           failure
       in
       Some (pauses, failure)
@@ -593,14 +593,14 @@ let run ?(jobs = 1) ?(max_objects = 40) ?(shrink_budget = 400)
     failures = List.filter_map snd ran;
   }
 
-let replay ?(max_objects = 40) ?(shrink_budget = 400) ?(variants = []) ?tamper
+let replay ?(max_objects = 40) ?(shrink_budget = 400) ?(variants = []) ?corrupt
     ~heap_seed ~sched_seed () =
   Verify.Hooks.ensure_installed ();
   let variants = select_variants variants in
   if variants = [] then invalid_arg "Simcheck.Fuzz.replay: empty variant list";
   let (case : case) = derive_case ~index:0 ~heap_seed ~sched_seed ~max_objects in
   let results, failure =
-    run_case ?tamper ~variants ~spec:case.spec ~threads:case.threads
+    run_case ?corrupt ~variants ~spec:case.spec ~threads:case.threads
       ~sched_seed ()
   in
   let failures =
@@ -608,7 +608,7 @@ let replay ?(max_objects = 40) ?(shrink_budget = 400) ?(variants = []) ?tamper
     | None -> []
     | Some f ->
         let budget = ref shrink_budget in
-        [ shrink_failure ?tamper ~variants ~budget case f ]
+        [ shrink_failure ?corrupt ~variants ~budget case f ]
   in
   {
     seed = heap_seed;

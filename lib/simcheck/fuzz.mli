@@ -29,7 +29,7 @@ val derive_case :
 (** Expand a seed pair into a concrete case (thread count + heap spec). *)
 
 val run_variant :
-  ?tamper:(string -> Spec.instance -> unit) ->
+  ?corrupt:(string -> Spec.instance -> unit) ->
   spec:Spec.t ->
   threads:int ->
   sched_seed:int ->
@@ -40,7 +40,7 @@ val run_variant :
     capture the post-pause live graph.  [Error] carries verifier/oracle
     or evacuation failure messages.
 
-    [tamper], a mutation-testing seam, runs after the pause and before
+    [corrupt], a mutation-testing seam, runs after the pause and before
     the graph capture with the variant's name and its live instance —
     tests use it to corrupt one variant's heap and check the engine
     reports (and shrinks) the injected differential failure. *)
@@ -99,7 +99,7 @@ val run :
   ?shrink_budget:int ->
   ?time_budget_s:float ->
   ?variants:string list ->
-  ?tamper:(string -> Spec.instance -> unit) ->
+  ?corrupt:(string -> Spec.instance -> unit) ->
   cases:int ->
   seed:int ->
   unit ->
@@ -115,13 +115,13 @@ val run :
     [time_budget_s] stops scheduling new cases once exceeded (CPU
     seconds of the whole process, so a parallel campaign burns it up to
     [jobs] times faster); [shrink_budget] caps re-executions per failure
-    during shrinking; [tamper] is threaded to {!run_variant}. *)
+    during shrinking; [corrupt] is threaded to {!run_variant}. *)
 
 val replay :
   ?max_objects:int ->
   ?shrink_budget:int ->
   ?variants:string list ->
-  ?tamper:(string -> Spec.instance -> unit) ->
+  ?corrupt:(string -> Spec.instance -> unit) ->
   heap_seed:int ->
   sched_seed:int ->
   unit ->

@@ -8,27 +8,45 @@
 
 type t = {
   bucket_ns : float;
-  buckets : float Vec.t;  (** accumulated value per bucket *)
+  mutable buckets : Float.Array.t;
+      (** accumulated value per bucket; unboxed, so [add] allocates
+          nothing — the recorder adds on every simulated access *)
+  mutable len : int;  (** buckets in use *)
 }
 
 let create ~bucket_ns =
   if bucket_ns <= 0. then invalid_arg "Timeseries.create: bucket_ns <= 0";
-  { bucket_ns; buckets = Vec.create 0.0 }
+  { bucket_ns; buckets = Float.Array.make 16 0.0; len = 0 }
 
 let bucket_ns t = t.bucket_ns
 
 let bucket_of t time_ns = int_of_float (time_ns /. t.bucket_ns)
 
 let ensure t idx =
-  while Vec.length t.buckets <= idx do
-    Vec.push t.buckets 0.0
-  done
+  if idx >= t.len then begin
+    let cap = Float.Array.length t.buckets in
+    if idx >= cap then begin
+      let grown = Float.Array.make (max (idx + 1) (2 * cap)) 0.0 in
+      Float.Array.blit t.buckets 0 grown 0 t.len;
+      t.buckets <- grown
+    end;
+    t.len <- idx + 1
+  end
+
+(* [Stdlib.min]/[max] at type float: the polymorphic ones box both
+   arguments. *)
+let fmin (a : float) b = if a <= b then a else b
+let fmax (a : float) b = if a >= b then a else b
+
+let bump t idx v =
+  Float.Array.unsafe_set t.buckets idx
+    (Float.Array.unsafe_get t.buckets idx +. v)
 
 (** [add t ~time_ns v] adds [v] to the bucket containing [time_ns]. *)
 let add t ~time_ns v =
   let idx = max 0 (bucket_of t time_ns) in
   ensure t idx;
-  Vec.set t.buckets idx (Vec.get t.buckets idx +. v)
+  bump t idx v
 
 (** [add_spread t ~from_ns ~until_ns v] distributes [v] proportionally over
     the buckets spanned by the half-open interval.  Used to spread a large
@@ -59,34 +77,41 @@ let add_spread t ~from_ns ~until_ns v =
     for idx = first to last do
       let b_start = float_of_int idx *. t.bucket_ns in
       let b_end = b_start +. t.bucket_ns in
-      let overlap = min until_ns b_end -. max from_ns b_start in
-      if overlap > 0. then
-        Vec.set t.buckets idx
-          (Vec.get t.buckets idx +. (v *. overlap /. total))
+      let overlap = fmin until_ns b_end -. fmax from_ns b_start in
+      if overlap > 0. then bump t idx (v *. overlap /. total)
     done
   end
 
-let length t = Vec.length t.buckets
+let length t = t.len
 
-let get t idx = Vec.get t.buckets idx
+let get t idx =
+  if idx < 0 || idx >= t.len then invalid_arg "Timeseries.get";
+  Float.Array.get t.buckets idx
+
+let to_array t = Array.init t.len (Float.Array.get t.buckets)
 
 (** Per-bucket rate assuming the accumulated value is in bytes: returns
     MB/s for each bucket. *)
 let to_mbps t =
   let secs = t.bucket_ns *. 1e-9 in
-  Array.map (fun bytes -> bytes /. 1e6 /. secs) (Vec.to_array t.buckets)
+  Array.map (fun bytes -> bytes /. 1e6 /. secs) (to_array t)
 
-let total t = Vec.fold_left ( +. ) 0.0 t.buckets
+let total t =
+  let acc = ref 0.0 in
+  for i = 0 to t.len - 1 do
+    acc := !acc +. Float.Array.get t.buckets i
+  done;
+  !acc
 
 (** [resample t n] folds the series into exactly [n] coarse points by
     averaging, for compact textual output of long traces. *)
 let resample t n =
-  let len = Vec.length t.buckets in
+  let len = t.len in
   if len = 0 || n <= 0 then [||]
   else if n >= len then
     (* Identity: nothing to fold, and the epsilon arithmetic below is
        not exact enough to be trusted with per = 1. *)
-    Vec.to_array t.buckets
+    to_array t
   else begin
     let out = Array.make (min n len) 0.0 in
     let m = Array.length out in
@@ -100,7 +125,7 @@ let resample t n =
       in
       let acc = ref 0.0 in
       for j = lo to hi do
-        acc := !acc +. Vec.get t.buckets j
+        acc := !acc +. Float.Array.get t.buckets j
       done;
       out.(i) <- !acc /. float_of_int (hi - lo + 1)
     done;

@@ -73,6 +73,46 @@ let record_app_traffic memory (profile : P.t) ~space ~from_ns ~until_ns =
       ~read_bytes:(bytes *. (1.0 -. heap_share) *. (1.0 -. wf))
       ~write_bytes:(bytes *. (1.0 -. heap_share) *. wf)
 
+(* Shape memo.  A cycle's shape is a function of (profile, run seed,
+   cycle) alone (see Graph_gen), so the cells of a sweep that run one app
+   under several configurations can draw it once.  Each domain keeps the
+   shapes of its most recent (profile, seed); a domain draws and keeps
+   nothing until [share_shapes] arms it, and [drop_shapes] disarms it. *)
+type memo = {
+  mutable key : (P.t * int) option;
+  shapes : (int, Graph_gen.shape) Hashtbl.t;  (** by cycle *)
+}
+
+let memo_key : memo option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let share_shapes () =
+  if Option.is_none (Domain.DLS.get memo_key) then
+    Domain.DLS.set memo_key (Some { key = None; shapes = Hashtbl.create 8 })
+
+let drop_shapes () = Domain.DLS.set memo_key None
+
+let same_key (p, s) (profile, seed) = s = seed && (p == profile || p = profile)
+
+(* The shape of [cycle]: memoized when this domain shares shapes, drawn
+   otherwise.  The caller splits the cycle's rng either way, so a hit
+   leaves the run's generator where a draw would. *)
+let shape_for ~profile ~seed ~cycle ~rng ~holders =
+  match Domain.DLS.get memo_key with
+  | None -> Graph_gen.shape ~profile ~rng ~holders
+  | Some m -> (
+      (match m.key with
+      | Some k when same_key k (profile, seed) -> ()
+      | Some _ | None ->
+          m.key <- Some (profile, seed);
+          Hashtbl.reset m.shapes);
+      match Hashtbl.find_opt m.shapes cycle with
+      | Some s -> s
+      | None ->
+          let s = Graph_gen.shape ~profile ~rng ~holders in
+          Hashtbl.replace m.shapes cycle s;
+          s)
+
 (** Run [gcs] mutation/GC cycles of [profile] against an existing heap,
     memory system and collector.  Deterministic in [seed]. *)
 let prof_graphgen = Simstats.Hostprof.register "workload.graphgen"
@@ -84,15 +124,16 @@ let run ~heap ~memory ~gc ~(profile : P.t) ~seed ~gcs =
   let now = ref 0.0 in
   let app_ns = ref 0.0 and gc_ns = ref 0.0 in
   let pauses = ref [] in
-  for _cycle = 1 to gcs do
+  for cycle = 1 to gcs do
     Simheap.Heap.clear_roots heap;
     Old_space.reset_cycle old_pool;
     let graph =
       let prof_prev = Simstats.Hostprof.enter prof_graphgen in
-      let g =
-        Graph_gen.generate ~heap ~profile ~rng:(Simstats.Prng.split rng)
-          ~old_pool
+      let shape =
+        shape_for ~profile ~seed ~cycle ~rng:(Simstats.Prng.split rng)
+          ~holders:(Old_space.holder_count old_pool)
       in
+      let g = Graph_gen.instantiate ~heap ~old_pool shape in
       Simstats.Hostprof.leave prof_prev;
       g
     in

@@ -34,7 +34,17 @@ val run :
   seed:int ->
   gcs:int ->
   result
-(** Run [gcs] mutation/GC cycles; deterministic in [seed]. *)
+(** Run [gcs] mutation/GC cycles; deterministic in [seed].  Each cycle's
+    graph is {!Graph_gen.instantiate} of a shape that is drawn, or reused
+    from this domain's memo when {!share_shapes} armed it. *)
+
+val share_shapes : unit -> unit
+(** Arm this domain's shape memo: later runs on the domain reuse the
+    shapes of the most recent (profile, seed) instead of drawing them
+    again.  Results are identical either way.  Idempotent. *)
+
+val drop_shapes : unit -> unit
+(** Disarm this domain's shape memo and release its shapes. *)
 
 val run_fresh :
   ?heap_space:Memsim.Access.space ->

@@ -78,11 +78,9 @@ let take_slot t =
   t.cursor <- t.cursor + 1;
   (holder, field)
 
-(** A random existing holder — used as the target of live-object fields
-    that point into old space (read-only for the GC). *)
-let random_holder t rng =
-  ensure_slots t 1;
-  Simstats.Vec.get t.holders (Simstats.Prng.int rng (Simstats.Vec.length t.holders))
+(** Holder [i] in creation order — the target of live-object fields that
+    point into old space (read-only for the GC). *)
+let holder t i = Simstats.Vec.get t.holders i
 
 (** Recycle promoted old regions (a costless stand-in for mixed GC) until
     at least [keep_free] regions are free.  Holder regions are exempt. *)

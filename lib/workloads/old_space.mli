@@ -5,6 +5,10 @@
 
 type t
 
+val holder_fields : int
+(** Reference fields per holder: holder slot [k] is field
+    [k mod holder_fields] of holder [k / holder_fields]. *)
+
 val create : Simheap.Heap.t -> t
 
 val ensure_slots : t -> int -> unit
@@ -14,8 +18,9 @@ val reset_cycle : t -> unit
 val take_slot : t -> Simheap.Objmodel.t * int
 (** Next free (holder, field-index) slot; grows the pool on demand. *)
 
-val random_holder : t -> Simstats.Prng.t -> Simheap.Objmodel.t
-(** A random holder, used as an old-space target of live-object fields. *)
+val holder : t -> int -> Simheap.Objmodel.t
+(** Holder [i] in creation order, used as an old-space target of
+    live-object fields. *)
 
 val recycle : t -> keep_free:int -> unit
 (** Release promoted old regions until at least [keep_free] regions are

@@ -138,7 +138,7 @@ let test_fuzz_report_identical_across_jobs () =
 (* Corrupt one variant's post-pause heap (mutation-testing seam): both
    job counts must detect the same injected differential failure and
    shrink it to the same minimal reproducer. *)
-let tamper name (inst : Simcheck.Spec.instance) =
+let corrupt name (inst : Simcheck.Spec.instance) =
   if name = "ps-all" then begin
     let unbound = ref false in
     let try_unbind (o : Simheap.Objmodel.t) =
@@ -157,7 +157,7 @@ let tamper name (inst : Simcheck.Spec.instance) =
 
 let test_fuzz_tamper_same_failure_across_jobs () =
   let campaign jobs =
-    Simcheck.Fuzz.run ~jobs ~cases:4 ~seed:99 ~variants:fuzz_variants ~tamper ()
+    Simcheck.Fuzz.run ~jobs ~cases:4 ~seed:99 ~variants:fuzz_variants ~corrupt ()
   in
   let r1 = campaign 1 and r4 = campaign 4 in
   Alcotest.(check bool) "tampered campaign fails" false (Simcheck.Fuzz.ok r1);

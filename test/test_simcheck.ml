@@ -278,7 +278,7 @@ let test_shrunk_spec_still_instantiates () =
    history of its reproducer.                                          *)
 
 let test_failure_carries_flight_dump () =
-  let tamper name (inst : Spec.instance) =
+  let corrupt name (inst : Spec.instance) =
     if name = "ps-all" then begin
       let unbound = ref false in
       let try_unbind (o : Simheap.Objmodel.t) =
@@ -298,7 +298,7 @@ let test_failure_carries_flight_dump () =
   let r =
     Fuzz.run ~cases:4 ~seed:99
       ~variants:[ "g1-baseline"; "ps-all" ]
-      ~tamper ()
+      ~corrupt ()
   in
   check_bool "tampered campaign fails" false (Fuzz.ok r);
   check_bool "at least one failure" true (List.length r.Fuzz.failures > 0);

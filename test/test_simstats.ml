@@ -347,6 +347,24 @@ let prop_resample_identity =
       && Array.for_all (fun ok -> ok)
            (Array.mapi (fun i v -> v = Simstats.Timeseries.get ts i) r))
 
+(* The recorder adds to a series on every simulated access, so once the
+   buckets exist, [add] and [add_spread] must allocate nothing (the
+   boxed-float [Vec] they used to sit on allocated on every get/set). *)
+let test_timeseries_allocation_free () =
+  let ts = Simstats.Timeseries.create ~bucket_ns:100.0 in
+  Simstats.Timeseries.add_spread ts ~from_ns:0.0 ~until_ns:1000.0 1.0;
+  let calls = 1000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to calls do
+    Simstats.Timeseries.add ts ~time_ns:150.0 1.0;
+    Simstats.Timeseries.add_spread ts ~from_ns:120.0 ~until_ns:130.0 1.0;
+    Simstats.Timeseries.add_spread ts ~from_ns:50.0 ~until_ns:450.0 1.0
+  done;
+  let words = Gc.minor_words () -. w0 in
+  if words > 0.0 then
+    Alcotest.failf "%.0f minor words over %d add/add_spread calls (budget 0)"
+      words (3 * calls)
+
 let test_timeseries_resample () =
   let ts = Simstats.Timeseries.create ~bucket_ns:1.0 in
   for i = 0 to 9 do
@@ -430,6 +448,8 @@ let () =
           Alcotest.test_case "degenerate spread" `Quick
             test_timeseries_degenerate_spread;
           Alcotest.test_case "resample" `Quick test_timeseries_resample;
+          Alcotest.test_case "add allocation-free" `Quick
+            test_timeseries_allocation_free;
           qc prop_spread_mass_conserved;
           qc prop_spread_boundary_no_spill;
           qc prop_resample_identity;

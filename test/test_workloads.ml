@@ -151,6 +151,83 @@ let test_graph_determinism () =
   let _, _, b = generate ~seed:9 profile in
   check_bool "same seed, same graph" true (a = b)
 
+(* A heap's graph as the collector sees it: every region's kind, bump
+   top, objects (id, address, size, fields) and remset (holder id, field,
+   referent) in order, plus the roots.  Region placement is left out: it
+   is what differs between the configurations compared below. *)
+let heap_image heap =
+  let regions = ref [] in
+  H.iter_regions
+    (fun r ->
+      let objs =
+        List.map
+          (fun (o : O.t) -> (o.O.id, o.O.addr, o.O.size, Array.to_list o.O.fields))
+          (Simstats.Vec.to_list r.R.objs)
+      in
+      let remset =
+        List.map
+          (fun slot ->
+            match slot with
+            | O.Field (h, i) -> (h.O.id, i, O.slot_referent slot)
+            | O.Root root -> (-1, root.O.root_id, root.O.target))
+          (Simstats.Vec.to_list r.R.remset)
+      in
+      regions := (r.R.idx, R.kind_name r.R.kind, r.R.top, objs, remset) :: !regions)
+    heap;
+  let roots =
+    List.map
+      (fun (r : O.root) -> (r.O.root_id, r.O.target))
+      (Simstats.Vec.to_list (H.roots heap))
+  in
+  (List.rev !regions, roots)
+
+(* One shape, instantiated onto heaps built for three configurations,
+   must equal what a fresh [generate] builds on the same heap: the shape
+   carries no trace of the configuration it was drawn under. *)
+let test_shape_reuse_exact () =
+  let env profile (preset, young_space) =
+    let heap = H.create (P.heap_config ?young_space profile) in
+    let memory = Memsim.Memory.create (P.memory_config profile) in
+    let config = Workloads.Apps.gc_config profile ~preset ~threads:8 in
+    ignore (Nvmgc.Young_gc.create ~heap ~memory config : Nvmgc.Young_gc.t);
+    (heap, Workloads.Old_space.create heap)
+  in
+  let setups =
+    [
+      ("vanilla", (`Vanilla, None));
+      ("+all", (`All, None));
+      ("young-DRAM", (`Vanilla, Some Memsim.Access.Dram));
+    ]
+  in
+  List.iter
+    (fun (name, seed) ->
+      let profile = Workloads.Apps.find name in
+      let shape =
+        Workloads.Graph_gen.shape ~profile ~rng:(Simstats.Prng.create seed)
+          ~holders:0
+      in
+      List.iter
+        (fun (setup, s) ->
+          let what = Printf.sprintf "%s seed %d under %s" name seed setup in
+          let heap, old_pool = env profile s in
+          let fresh =
+            Workloads.Graph_gen.generate ~heap ~profile
+              ~rng:(Simstats.Prng.create seed) ~old_pool
+          in
+          let heap', old_pool' = env profile s in
+          let placed =
+            Workloads.Graph_gen.instantiate ~heap:heap' ~old_pool:old_pool'
+              shape
+          in
+          check_bool (what ^ ": stats") true (placed = fresh);
+          check_bool (what ^ ": objects, remsets, roots") true
+            (heap_image heap' = heap_image heap);
+          check_int (what ^ ": holders")
+            (Workloads.Old_space.holder_count old_pool)
+            (Workloads.Old_space.holder_count old_pool'))
+        setups)
+    [ ("akka-uct", 3); ("akka-uct", 42); ("page-rank", 3); ("page-rank", 42) ]
+
 (* ------------------------------------------------------------------ *)
 (* Old space                                                           *)
 
@@ -201,6 +278,41 @@ let test_mutator_run () =
   check_bool "gc share in (0,1)" true
     (let s = Workloads.Mutator.gc_share result in
      s > 0.0 && s < 1.0)
+
+(* A run's simulated output, bit for bit (NaN-safe, unlike [=]). *)
+let run_digest (result : Workloads.Mutator.result) gc =
+  Digest.string
+    (Marshal.to_string
+       (Nvmgc.Young_gc.totals gc, result.Workloads.Mutator.pauses,
+        result.Workloads.Mutator.end_ns)
+       [ Marshal.No_sharing ])
+
+(* Three cycles with the shape memo cold, then warm from a two-cycle run
+   under another configuration: identical statistics.  The warm run
+   reuses cycles 1 and 2 and draws cycle 3, so it also pins that a hit
+   advances the run's generator as a draw would, and that the holder
+   pool grows the same under every configuration. *)
+let test_mutator_shape_memo () =
+  let profile = Workloads.Apps.find "akka-uct" in
+  let run ?(seed = 5) preset threads gcs =
+    let config = Workloads.Apps.gc_config profile ~preset ~threads in
+    let result, gc, _, _ =
+      Workloads.Mutator.run_fresh ~profile ~seed ~gcs config
+    in
+    check_int "pauses" gcs (List.length result.Workloads.Mutator.pauses);
+    run_digest result gc
+  in
+  Workloads.Mutator.drop_shapes ();
+  let cold = run `All 8 3 in
+  let cold6 = run ~seed:6 `All 8 3 in
+  Workloads.Mutator.share_shapes ();
+  Fun.protect ~finally:Workloads.Mutator.drop_shapes (fun () ->
+      let other = run `Vanilla 4 2 in
+      let warm = run `All 8 3 in
+      check_bool "warm = cold" true (Digest.equal warm cold);
+      check_bool "other configuration differs" false (Digest.equal other cold);
+      (* a new seed must not reuse the previous seed's shapes *)
+      check_bool "next seed = cold" true (Digest.equal (run ~seed:6 `All 8 3) cold6))
 
 let test_mutator_device_slows_app () =
   let profile = Workloads.Apps.find "page-rank" in
@@ -270,6 +382,8 @@ let () =
             test_graph_remsets_point_into_young;
           Alcotest.test_case "chain shape" `Quick test_graph_chain_shape;
           Alcotest.test_case "determinism" `Quick test_graph_determinism;
+          Alcotest.test_case "shape reuse is exact" `Quick
+            test_shape_reuse_exact;
         ] );
       ( "old_space",
         [
@@ -281,6 +395,8 @@ let () =
         [
           Alcotest.test_case "run" `Quick test_mutator_run;
           Alcotest.test_case "device slows app" `Quick test_mutator_device_slows_app;
+          Alcotest.test_case "shape memo warm = cold" `Quick
+            test_mutator_shape_memo;
         ] );
       ( "prefetch_micro",
         [ Alcotest.test_case "shapes" `Quick test_prefetch_micro ] );
